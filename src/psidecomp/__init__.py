@@ -11,6 +11,7 @@ from .core import (
     check_relative_independence,
     extract_signal,
     identify,
+    identify_path,
     row_center,
 )
 from .loading import LoadingSet, estimate_loadings, reconstruct, stacked_loadings

@@ -107,8 +107,11 @@ def _load_ordering(spec_text: str, K: int):
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
+    threads = getattr(args, "threads", None)
+    if threads is not None:
+        if threads < 1:
+            raise ConfigError("--threads must be at least 1")
+        return threads
     env = os.environ.get("PSI_THREADS")
     if env:
         try:
@@ -163,8 +166,12 @@ def _angles_config(args):
 
 
 def _diagnostics_payload(result) -> dict:
+    lo, hi = result.stable_interval
     return {
         "angle_threshold_deg": math.degrees(result.angle_threshold),
+        # the structure is the same for every threshold in (lo, hi]
+        "stable_interval_deg": [math.degrees(lo) if lo >= 0 else None,
+                                math.degrees(hi) if math.isfinite(hi) else None],
         "acceptances": [
             {
                 "blocks": list(rec.index_set.members),
@@ -284,13 +291,7 @@ def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise ConfigError("--reps must be at least 1")
     model = _resolve_model(args)
-    lam = None
-    if args.lambda_deg is not None and args.tune:
-        raise ConfigError("choose one of --lambda-deg or --tune")
-    if args.lambda_deg is not None:
-        lam = math.radians(args.lambda_deg)
-        if not 0.0 <= lam < math.pi / 2:
-            raise ConfigError("--lambda-deg must lie in [0, 90)")
+    lam = _angles_config(args)
     grid = _parse_grid(args.grid) if args.grid else None
     outcomes = run_repetitions(model, args.reps, args.seed,
                                angle_threshold=lam, grid=grid,

@@ -117,6 +117,10 @@ class DecompositionResult:
     angle_threshold: float
     ordering: IndexOrdering
     diagnostics: tuple[AcceptanceRecord, ...] = field(default_factory=tuple)
+    # (lo, hi) in radians: identify returns this same result for every
+    # threshold in (lo, hi]. lo is the largest max-angle among accepted
+    # candidates (-1 if none), hi the smallest among rejected ones (inf if none).
+    stable_interval: tuple[float, float] = (-1.0, np.inf)
 
     def stacked_scores(self):
         """(n x r_total score matrix, per-column index-set labels)."""
@@ -175,6 +179,9 @@ def identify(
     orthogonal complement, so the collected directions stay mutually
     orthogonal across all index-sets. A singleton stage claims whatever is
     left of its block's basis verbatim.
+
+    Every gate compares a candidate's largest angle with the threshold, so
+    the result is the same for every threshold in ``stable_interval``.
     """
     if not 0.0 <= angle_threshold < np.pi / 2:
         raise ValueError("angle threshold must lie in [0, pi/2)")
@@ -190,6 +197,7 @@ def identify(
     scores: dict = {}
     entries = []
     records = []
+    lo, hi = -1.0, np.inf
 
     for subset in ordering:
         idx = [m - 1 for m in subset.members]
@@ -202,10 +210,15 @@ def identify(
             while all(work[i].shape[1] > 0 for i in idx):
                 w, degenerate = _flag_mean_refined([work[i] for i in idx])
                 angles = _angles_to([work[i] for i in idx], w)
+                worst = max(angles)
                 if not all(a < angle_threshold for a in angles):
+                    hi = min(hi, worst)
                     break
                 if any(np.linalg.norm(work[i].T @ w) <= 1e-12 for i in idx):
-                    break  # nothing to peel: treat the gate as failed
+                    # Nothing to peel: the stage ends as a failed gate would,
+                    # whatever the threshold, so neither bound moves.
+                    break
+                lo = max(lo, worst)
                 for i in idx:
                     work[i] = _deflate_cols(work[i], w)
                 claimed.append(w)
@@ -219,7 +232,33 @@ def identify(
         entries.append((subset, mat.shape[1]))
 
     structure = PartialJointStructure(tuple(entries), K)
-    return DecompositionResult(structure, scores, float(angle_threshold), ordering, tuple(records))
+    return DecompositionResult(structure, scores, float(angle_threshold), ordering,
+                               tuple(records), (float(lo), float(hi)))
+
+
+def identify_path(
+    signals: Sequence[SignalEstimate],
+    ordering: IndexOrdering,
+    grid: Sequence[float],
+) -> list[tuple[int, int, DecompositionResult]]:
+    """``identify`` over an increasing threshold grid, once per distinct result.
+
+    Returns ``(i_start, i_end, result)`` triples that cover the grid in order:
+    ``result`` is ``identify`` at ``grid[i_start]`` and equals it at every
+    ``grid[i]`` with ``i_start <= i < i_end``. After each call the path jumps
+    to the first grid point above the result's ``stable_interval``.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    path = []
+    i = 0
+    while i < grid.size:
+        result = identify(signals, ordering, grid[i])
+        j = int(np.searchsorted(grid, result.stable_interval[1], side="right"))
+        path.append((i, j, result))
+        i = j
+    return path
 
 
 # ---------------------------------------------------------------------------

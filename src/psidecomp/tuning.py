@@ -6,12 +6,14 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .core import MultiBlockDataset, extract_signal, identify
+# identify is still bound here: the benchmark's tracer and its tests look it
+# up in every module that imports it by name.
+from .core import MultiBlockDataset, extract_signal, identify, identify_path  # noqa: F401
 from .loading import estimate_loadings, stacked_loadings
 from .structure import (
     IndexOrdering,
@@ -120,30 +122,35 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
         raise ValueError(f"expected {K} ranks, got {len(ranks)}")
 
     plan = split(data.n, seed)
+    n_train = len(plan.train)
+    for k, r in enumerate(ranks, start=1):
+        if r > n_train:
+            raise ValueError(
+                f"block {k} has rank {r}, but tuning fits on a training half of "
+                f"n_train = {n_train} of the n = {data.n} samples; lower the rank "
+                f"to at most {n_train}")
     tr = list(plan.train)
     te = list(plan.test)
     train_blocks = [X[:, tr] for X in data.blocks]
     test_blocks = [X[:, te] for X in data.blocks]
     X_test_stacked = np.vstack(test_blocks)
+    offsets = np.concatenate([[0], np.cumsum([b.shape[0] for b in test_blocks])])
 
     train_signals = [extract_signal(B, r, check_centering=False)
                      for B, r in zip(train_blocks, ranks)]
 
-    risk_curve = []
-    train_structures = []
-    for lam in grid:
-        res = identify(train_signals, ordering, lam)
+    # identify is piecewise constant in the threshold, so the loadings and the
+    # held-out risk are computed once per interval of the path.
+    risks, train_structures = [], []
+    for i0, i1, res in identify_path(train_signals, ordering, grid):
         loads = estimate_loadings(train_signals, res)
         U_stacked = stacked_loadings(loads, res)
         W_test, _ = test_scores(X_test_stacked, U_stacked)
-        sizes = [b.shape[0] for b in test_blocks]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
         U_rows = [U_stacked[offsets[k]:offsets[k + 1]] for k in range(K)]
-        risk = empirical_risk(test_blocks, U_rows, W_test)
-        risk_curve.append((float(lam), risk))
-        train_structures.append(res.structure)
+        risks += [empirical_risk(test_blocks, U_rows, W_test)] * (i1 - i0)
+        train_structures += [res.structure] * (i1 - i0)
+    risk_curve = [(float(lam), risk) for lam, risk in zip(grid, risks)]
 
-    risks = np.array([r for _, r in risk_curve])
     i_tilde = int(np.argmin(risks))  # first minimum = smallest lambda on ties
     lambda_tilde = float(grid[i_tilde])
     structure_train = train_structures[i_tilde]
@@ -151,14 +158,11 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
     if whole_signals is None:
         whole_signals = [extract_signal(X, r, check_centering=False)
                          for X, r in zip(data.blocks, ranks)]
-    dissim_curve = []
-    whole_results = []
-    for lam in grid:
-        res = identify(whole_signals, ordering, lam)
-        d = dissimilarity(structure_train, res.structure)
-        dissim_curve.append((float(lam), d))
-        whole_results.append(res)
-    dists = np.array([d for _, d in dissim_curve])
+    dists, whole_results = [], []
+    for i0, i1, res in identify_path(whole_signals, ordering, grid):
+        dists += [dissimilarity(structure_train, res.structure)] * (i1 - i0)
+        whole_results += [res] * (i1 - i0)
+    dissim_curve = [(float(lam), d) for lam, d in zip(grid, dists)]
     i_hat = int(np.argmin(dists))
     lambda_hat = float(grid[i_hat])
 
@@ -168,7 +172,7 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
         lambda_hat=lambda_hat,
         risk_curve=tuple(risk_curve),
         dissimilarity_curve=tuple(dissim_curve),
-        decomposition_hat=whole_results[i_hat],
+        decomposition_hat=replace(whole_results[i_hat], angle_threshold=lambda_hat),
     )
 
 

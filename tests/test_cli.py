@@ -71,6 +71,20 @@ class TestDecompose:
         assert {tuple(e["blocks"]): e["rank"] for e in structure["entries"]} == {
             (1,): 4, (2,): 4, (3,): 4}
 
+    def test_diagnostics_report_stable_interval(self, generated, tmp_path):
+        blocks = [str(generated / f"X_{k}.csv") for k in (1, 2, 3)]
+        intervals = {}
+        for lam in ("0", "20"):
+            out = tmp_path / f"dec{lam}"
+            assert run_cli("decompose", "--blocks", *blocks, "--ranks", "4,4,4",
+                           "--lambda-deg", lam, "--out", str(out)) == 0
+            diag = json.loads((out / "diagnostics.json").read_text())
+            intervals[lam] = diag["stable_interval_deg"]
+        lo, hi = intervals["0"]
+        assert lo is None and hi >= 0.0  # nothing accepted at 0 degrees
+        lo, hi = intervals["20"]
+        assert 0.0 <= lo < 20.0 and (hi is None or hi >= 20.0)
+
     def test_mismatched_columns_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -200,6 +214,33 @@ class TestTune:
         assert outs[0] == outs[1]
 
 
+    def test_threads_below_one_exit_2(self, generated, tmp_path, capsys):
+        blocks = [str(generated / f"X_{k}.csv") for k in (1, 2, 3)]
+        for threads in ("0", "-1"):
+            code = run_cli("tune", "--blocks", *blocks, "--ranks", "4,4,4",
+                           "--grid", "5:25:5", "--reps", "2",
+                           "--threads", threads, "--out", str(tmp_path / "o"))
+            assert code == 2
+            assert "--threads must be at least 1" in capsys.readouterr().err
+        code = run_cli("simulate", "--model", "2", "--lambda-deg", "20",
+                       "--n", "40", "--p", "30", "--threads", "0",
+                       "--out", str(tmp_path / "s"))
+        assert code == 2
+        assert "--threads must be at least 1" in capsys.readouterr().err
+
+    def test_rank_above_training_half_exit_2(self, tmp_path, capsys):
+        gen = tmp_path / "small"
+        assert run_cli("generate", "--model", "4", "--snr", "15", "--seed", "1",
+                       "--n", "14", "--p", "30", "--out", str(gen)) == 0
+        blocks = [str(gen / f"X_{k}.csv") for k in (1, 2, 3)]
+        code = run_cli("tune", "--blocks", *blocks, "--ranks", "8,8,8",
+                       "--reps", "1", "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("block 1 has rank 8, but tuning fits on a training half of "
+                "n_train = 7 of the n = 14 samples") in err
+
+
 class TestSimulate:
     def test_noiseless_summary(self, tmp_path):
         out = tmp_path / "sim"
@@ -218,6 +259,12 @@ class TestSimulate:
         code = run_cli("simulate", "--model", "9", "--snr", "10",
                        "--reps", "1", "--out", str(tmp_path / "o"))
         assert code == 2
+
+    def test_lambda_and_tune_together_exit_2(self, tmp_path, capsys):
+        code = run_cli("simulate", "--model", "2", "--lambda-deg", "20", "--tune",
+                       "--n", "40", "--p", "30", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "exactly one of --lambda-deg or --tune" in capsys.readouterr().err
 
     def test_imbalanced_tag_accepted(self, tmp_path):
         out = tmp_path / "imb"

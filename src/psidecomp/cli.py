@@ -44,12 +44,16 @@ class ConfigError(ValueError):
 def _read_csv_matrix(path: str) -> np.ndarray:
     with open(path) as fh:
         first = fh.readline()
-    fields = [f.strip() for f in first.strip().split(",") if f.strip() != ""]
-    skip = 0
-    try:
-        [float(f) for f in fields]
-    except ValueError:
-        skip = 1
+        fields = [f.strip() for f in first.strip().split(",") if f.strip() != ""]
+        skip = 0
+        try:
+            [float(f) for f in fields]
+        except ValueError:
+            skip = 1
+        first_is_data = bool(fields) and not skip
+        # on a file without data rows loadtxt only warns
+        if not first_is_data and not any(line.strip() for line in fh):
+            raise ConfigError(f"{path} contains no data")
     data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     return data
 
@@ -115,9 +119,12 @@ def _threads(args) -> int:
     env = os.environ.get("PSI_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise ConfigError("PSI_THREADS must be an integer")
+        if threads < 1:
+            raise ConfigError("PSI_THREADS must be at least 1")
+        return threads
     return os.cpu_count() or 1
 
 
@@ -126,7 +133,10 @@ def _load_dataset(args) -> MultiBlockDataset:
     for path in args.blocks:
         if not os.path.exists(path):
             raise ConfigError(f"no such file: {path}")
-        blocks.append(_read_csv_matrix(path))
+        X = _read_csv_matrix(path)
+        if not np.all(np.isfinite(X)):
+            raise ConfigError(f"{path} contains non-finite entries")
+        blocks.append(X)
     widths = {b.shape[1] for b in blocks}
     if len(widths) != 1:
         raise ConfigError("matched samples required")

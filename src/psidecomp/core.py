@@ -14,8 +14,10 @@ import numpy as np
 from .structure import IndexOrdering, IndexSet, PartialJointStructure
 from .subspace import (
     OrthonormalBasis,
+    _deflate_cols,
     _fix_sign,
     _flag_mean_refined,
+    _top_singular,
     orthonormalize,
 )
 
@@ -80,8 +82,9 @@ def extract_signal(X: np.ndarray, rank: int, check_centering: bool = True) -> Si
     """Rank-r signal estimate of one block via truncated SVD.
 
     The score basis holds the top right singular vectors (sample-space
-    directions), sign-fixed. Rows are expected to be centered; a violation
-    triggers a warning, not an error.
+    directions), sign-fixed, taken from the Gram matrix on the block's
+    smaller side; the estimate is X projected onto them. Rows are expected to
+    be centered; a violation triggers a warning, not an error.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -93,9 +96,9 @@ def extract_signal(X: np.ndarray, rank: int, check_centering: bool = True) -> Si
         raise ValueError(f"rank {rank} outside [1, {min(p, n)}]")
     if check_centering and not is_row_centered(X):
         warnings.warn("block rows are not centered; results assume row-centered data")
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    zhat = (U[:, :rank] * s[:rank]) @ Vt[:rank]
-    basis = np.column_stack([_fix_sign(v) for v in Vt[:rank]])
+    _, V = _top_singular(X, rank)
+    basis = np.column_stack([_fix_sign(v) for v in V.T])
+    zhat = (X @ basis) @ basis.T
     return SignalEstimate(zhat=zhat, score_basis=OrthonormalBasis(basis), rank=rank)
 
 
@@ -143,12 +146,6 @@ def _angles_to(blocks, w) -> list[float]:
         s2 = min(max(1.0 - float(c @ c), 0.0), 1.0)
         out.append(float(np.arcsin(np.sqrt(s2))))
     return out
-
-
-def _deflate_cols(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
-    c = cols.T @ w
-    Q, _ = np.linalg.qr((c / np.linalg.norm(c)).reshape(-1, 1), mode="complete")
-    return cols @ Q[:, 1:]
 
 
 def _project_out(cols: np.ndarray, w: np.ndarray, atol: float = 1e-10) -> np.ndarray:

@@ -1,6 +1,7 @@
 # Geometric kernel: orthonormal bases of score subspaces, sine distance and
-# principal angles of a direction to a subspace, one-dimensional flag means,
-# and deflation ("peeling" a direction out of a subspace).
+# principal angles of a direction to a subspace, top singular vectors from the
+# smaller Gram matrix, one-dimensional flag means, and deflation ("peeling" a
+# direction out of a subspace).
 #
 # Conventions
 # -----------
@@ -13,6 +14,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,32 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     # np.argmax returns the first maximal index, which gives the tie rule.
     i = int(np.argmax(np.abs(v)))
     return -v if v[i] < 0 else v
+
+
+def _top_singular(X: np.ndarray, k: int):
+    """All singular values of a p x n matrix X, largest first, and its top k
+    right singular vectors (n x k, orthonormal, signs unfixed).
+
+    Eigensolves the Gram matrix on the smaller side of X. When n <= p the
+    eigenvectors of X^T X are the right singular vectors. Otherwise the
+    eigenvectors U of X X^T are the left ones, mapped by V = X^T U / s. Where
+    that division loses orthonormality (s near or past the numerical rank),
+    V is re-orthonormalized by a QR of X^T U instead, which keeps the leading
+    directions and completes the basis past the rank.
+    """
+    p, n = X.shape
+    wide = n > p
+    vals, vecs = np.linalg.eigh(X @ X.T if wide else X.T @ X)
+    s = np.sqrt(np.maximum(vals[::-1], 0.0))
+    top = vecs[:, ::-1][:, :k]
+    if not wide:
+        return s, top
+    XtU = X.T @ top
+    if s[k - 1] > 0.0:
+        V = XtU / s[:k]
+        if np.max(np.abs(V.T @ V - np.eye(k))) <= ORTHONORMAL_TOL:
+            return s, V
+    return s, np.linalg.qr(XtU)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,14 +139,17 @@ def orthonormalize(raw: np.ndarray, tol: float = 1e-12) -> OrthonormalBasis:
 
 
 def sine_distance(w: UnitDirection, B: OrthonormalBasis) -> float:
-    """sqrt(1 - ||B^T w||^2), clamped to [0, 1]; equals 1 for the zero subspace."""
+    """sqrt(1 - ||B^T w||^2), clamped to [0, 1]; equals 1 for the zero subspace.
+
+    Computed as ||w - B B^T w||, which, unlike 1 - ||B^T w||^2, does not
+    cancel for directions (nearly) inside span(B).
+    """
     if w.n != B.n:
         raise ValueError(f"ambient dimensions differ: {w.n} vs {B.n}")
     if B.r == 0:
         return 1.0
-    c = B.columns.T @ w.vector
-    s2 = 1.0 - float(c @ c)
-    return float(np.sqrt(min(max(s2, 0.0), 1.0)))
+    resid = w.vector - B.columns @ (B.columns.T @ w.vector)
+    return float(min(np.linalg.norm(resid), 1.0))
 
 
 def principal_angle(w: UnitDirection, B: OrthonormalBasis) -> float:
@@ -143,8 +174,7 @@ def flag_mean_direction(bases) -> UnitDirection:
             raise ValueError("all bases must share the ambient dimension")
         if cols.shape[1] == 0:
             raise ValueError("flag mean is undefined for a zero subspace")
-    H = np.hstack(blocks)
-    U, _, _ = np.linalg.svd(H, full_matrices=False)
+    _, U = _top_singular(np.hstack(blocks).T, 1)
     return UnitDirection(_fix_sign(U[:, 0]))
 
 
@@ -157,12 +187,12 @@ def _flag_mean_refined(blocks, tie_rtol: float = 1e-6):
     concentrates on a single intersection pattern instead of an arbitrary
     mixture. Returns (direction, degenerate_flag).
     """
-    H = np.hstack(blocks)
-    U, s, _ = np.linalg.svd(H, full_matrices=False)
-    tied = int(np.sum(s >= s[0] * (1.0 - tie_rtol))) if s.size else 0
+    Ht = np.hstack(blocks).T
+    s, U = _top_singular(Ht, 1)
+    tied = int(np.sum(s >= s[0] * (1.0 - tie_rtol)))
     if tied <= 1:
         return _fix_sign(U[:, 0]), False
-    T = U[:, :tied]
+    _, T = _top_singular(Ht, tied)
     for cols in blocks:
         if T.shape[1] == 1:
             break
@@ -184,9 +214,26 @@ def deflate(B: OrthonormalBasis, w: UnitDirection) -> OrthonormalBasis:
         raise ValueError(f"ambient dimensions differ: {w.n} vs {B.n}")
     if B.r == 0:
         raise NothingToPeel("cannot deflate the zero subspace")
-    c = B.columns.T @ w.vector
-    nc = float(np.linalg.norm(c))
-    if nc <= 1e-12:
+    if float(np.linalg.norm(B.columns.T @ w.vector)) <= 1e-12:
         raise NothingToPeel("direction is orthogonal to the subspace")
-    Q, _ = np.linalg.qr((c / nc).reshape(-1, 1), mode="complete")
-    return OrthonormalBasis(B.columns @ Q[:, 1:])
+    return OrthonormalBasis(_deflate_cols(B.columns, w.vector))
+
+
+def _deflate_cols(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the complement, within span(cols), of the
+    projection of w onto span(cols).
+
+    With x = c/||c||, c = cols^T w, this is cols @ Q[:, 1:] for the complete
+    QR of x, whose Q is one Householder reflector I - tau v v^T. The reflector
+    is written down the way LAPACK's geqrf/orgqr build it: beta = -sign(x_0),
+    v = (x - beta e_1) / (x_0 - beta) so that v_0 = 1, tau = (beta - x_0) / beta.
+    The caller guarantees c != 0.
+    """
+    c = cols.T @ w
+    x = c / np.linalg.norm(c)
+    x0 = float(x[0])
+    beta = -math.copysign(1.0, x0)
+    v = x / (x0 - beta)
+    v[0] = 1.0
+    tau = (beta - x0) / beta
+    return cols[:, 1:] - (tau * (cols @ v))[:, None] * v[1:]

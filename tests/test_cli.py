@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,43 @@ class TestDecompose:
         from psidecomp.cli import ConfigError
         with pytest.raises(ConfigError):
             _threads(Args())
+
+    def test_threads_env_below_one_exit_2(self, tmp_path, monkeypatch, capsys):
+        for value in ("0", "-2"):
+            monkeypatch.setenv("PSI_THREADS", value)
+            code = run_cli("simulate", "--model", "2", "--lambda-deg", "20",
+                           "--n", "40", "--p", "30", "--out", str(tmp_path / "s"))
+            assert code == 2
+            assert "PSI_THREADS must be at least 1" in capsys.readouterr().err
+
+    def test_nan_csv_exit_2_without_centering_warning(self, generated, tmp_path, capsys):
+        X = np.loadtxt(generated / "X_1.csv", delimiter=",")
+        X[2, 3] = np.nan
+        bad = tmp_path / "bad.csv"
+        np.savetxt(bad, X, delimiter=",")
+        blocks = [str(bad)] + [str(generated / f"X_{k}.csv") for k in (2, 3)]
+        code = run_cli("decompose", "--blocks", *blocks, "--ranks", "4,4,4",
+                       "--lambda-deg", "20", "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad} contains non-finite entries" in err
+        assert "not centered" not in err
+
+    def test_empty_csv_exit_2(self, generated, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        header_only = tmp_path / "header_only.csv"
+        header_only.write_text("s1,s2,s3\n\n")
+        for path in (empty, header_only):
+            blocks = [str(path)] + [str(generated / f"X_{k}.csv") for k in (2, 3)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_cli("decompose", "--blocks", *blocks, "--ranks", "4,4,4",
+                               "--lambda-deg", "20", "--out", str(tmp_path / "o"))
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"{path} contains no data" in err
+            assert "matched samples" not in err
 
     def test_header_rows_are_accepted(self, generated, tmp_path):
         src = np.loadtxt(generated / "X_1.csv", delimiter=",")

@@ -21,6 +21,7 @@ from .core import (
 )
 from .loading import estimate_loadings
 from .simgen import (
+    _pool_map,
     generate,
     imbalanced_preset,
     model_preset,
@@ -33,7 +34,7 @@ from .structure import (
     ordering_from_lists,
     structure_to_dict,
 )
-from .tuning import default_grid, mode_structure, select_lambda
+from .tuning import _curve_rows, default_grid, mode_structure, select_lambda
 from .subspace import NothingToPeel
 
 
@@ -233,11 +234,6 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _tune_one(job):
-    data, ranks, ordering, grid, seed, signals = job
-    return select_lambda(data, ranks, ordering, grid, seed, whole_signals=signals)
-
-
 def cmd_tune(args) -> int:
     if args.reps < 1:
         raise ConfigError("--reps must be at least 1")
@@ -250,13 +246,7 @@ def cmd_tune(args) -> int:
 
     jobs = [(data, ranks, ordering, grid, args.seed + rep, signals)
             for rep in range(args.reps)]
-    threads = _threads(args)
-    if threads <= 1 or args.reps <= 1:
-        results = [_tune_one(job) for job in jobs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_tune_one, jobs))
+    results = _pool_map(select_lambda, jobs, _threads(args))
     structures = [t.decomposition_hat.structure for t in results]
     mode, count = mode_structure(structures)
 
@@ -272,10 +262,8 @@ def cmd_tune(args) -> int:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     lines = ["rep\tlambda_degrees\trisk\tdissimilarity"]
-    for rep, tuned in enumerate(results):
-        dissim = dict(tuned.dissimilarity_curve)
-        for lam, risk in tuned.risk_curve:
-            lines.append(f"{rep}\t{math.degrees(lam):.6g}\t{risk:.12g}\t{dissim[lam]}")
+    lines += [f"{rep}\t{row}" for rep, tuned in enumerate(results)
+              for row in _curve_rows(tuned)]
     with open(os.path.join(args.out, "curves.tsv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0

@@ -14,9 +14,11 @@ import numpy as np
 from .structure import IndexOrdering, IndexSet, PartialJointStructure
 from .subspace import (
     OrthonormalBasis,
+    _complement,
     _deflate_cols,
     _fix_sign,
     _flag_mean_refined,
+    _sine,
     _top_singular,
     orthonormalize,
 )
@@ -139,26 +141,6 @@ class DecompositionResult:
         return np.column_stack(cols), labels
 
 
-def _angles_to(blocks, w) -> list[float]:
-    out = []
-    for cols in blocks:
-        c = cols.T @ w
-        s2 = min(max(1.0 - float(c @ c), 0.0), 1.0)
-        out.append(float(np.arcsin(np.sqrt(s2))))
-    return out
-
-
-def _project_out(cols: np.ndarray, w: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    # Image of span(cols) under the projection onto the complement of w.
-    # The smallest singular value equals sin(angle(w, span)); a genuinely
-    # contained direction is removed, otherwise the subspace only tilts.
-    if cols.shape[1] == 0:
-        return cols
-    proj = cols - np.outer(w, w @ cols)
-    U, s, _ = np.linalg.svd(proj, full_matrices=False)
-    return U[:, s > atol]
-
-
 def identify(
     signals: Sequence[SignalEstimate],
     ordering: IndexOrdering,
@@ -206,7 +188,7 @@ def identify(
         else:
             while all(work[i].shape[1] > 0 for i in idx):
                 w, degenerate = _flag_mean_refined([work[i] for i in idx])
-                angles = _angles_to([work[i] for i in idx], w)
+                angles = [float(np.arcsin(_sine(work[i], w))) for i in idx]
                 worst = max(angles)
                 if not all(a < angle_threshold for a in angles):
                     hi = min(hi, worst)
@@ -223,7 +205,7 @@ def identify(
         for w in claimed:
             for other in range(K):
                 if other not in idx:
-                    work[other] = _project_out(work[other], w)
+                    work[other] = _complement(work[other], w[:, None], 1e-10)
         mat = np.column_stack(claimed) if claimed else np.zeros((n, 0))
         scores[subset] = OrthonormalBasis(mat)
         entries.append((subset, mat.shape[1]))
@@ -299,22 +281,6 @@ def _span_sum(parts, n) -> np.ndarray:
     return orthonormalize(np.hstack(nonzero), 1e-8).columns
 
 
-def _complement_image(cols: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    if cols.shape[1] == 0:
-        return cols
-    if Q.shape[1] == 0:
-        return cols
-    proj = cols - Q @ (Q.T @ cols)
-    U, s, _ = np.linalg.svd(proj, full_matrices=False)
-    return U[:, s > 1e-8]
-
-
-def _max_cosine(A: np.ndarray, B: np.ndarray) -> float:
-    if A.shape[1] == 0 or B.shape[1] == 0:
-        return 0.0
-    return float(np.linalg.svd(A.T @ B, compute_uv=False)[0])
-
-
 def _uniqueness_report(exact_bases, ordering: IndexOrdering, tol: float) -> UniquenessReport:
     blocks = [b.columns if isinstance(b, OrthonormalBasis) else np.asarray(b, float)
               for b in exact_bases]
@@ -337,19 +303,18 @@ def _uniqueness_report(exact_bases, ordering: IndexOrdering, tol: float) -> Uniq
         I_l = _span_sum([inter[s] for s in ordering if len(s) > layer], n)
         layer_subspaces[layer] = OrthonormalBasis(I_l)
         level_sets = [s for s in ordering if len(s) == layer]
-        deflated = {s: _complement_image(inter[s], I_l) for s in level_sets}
+        deflated = {s: _complement(inter[s], I_l, 1e-8) for s in level_sets}
         layer_ok = True
         for s in level_sets:
             D = deflated[s]
             others = _span_sum([deflated[t] for t in level_sets if t != s], n)
             if D.shape[1] and others.shape[1]:
-                top = _max_cosine(D, others)
+                U, sv, _ = np.linalg.svd(D.T @ others)
+                top = float(sv[0])
                 if top > 1.0 - tol:
                     layer_ok = False
                     if failure is None:
-                        U, sv, _ = np.linalg.svd(D.T @ others)
-                        witness = _fix_sign(D @ U[:, 0])
-                        failure = (layer, s, witness)
+                        failure = (layer, s, _fix_sign(D @ U[:, 0]))
                 if top > ORTHO_CHECK_TOL:
                     rel_orth = False
             # per-index complement [J_i]: larger sets whose pattern overlaps s
@@ -357,9 +322,8 @@ def _uniqueness_report(exact_bases, ordering: IndexOrdering, tol: float) -> Uniq
                 [inter[t] for t in ordering if len(t) > layer and t.intersects(s)], n
             )
             complement_bases[s] = OrthonormalBasis(J)
-            lhs = D
-            rhs = _complement_image(inter[s], J)
-            diff = lhs @ lhs.T - rhs @ rhs.T
+            rhs = _complement(inter[s], J, 1e-8)
+            diff = D @ D.T - rhs @ rhs.T
             if np.linalg.norm(diff) > ORTHO_CHECK_TOL:
                 rule5_holds = False
         layer_indep[layer] = layer_ok

@@ -328,8 +328,13 @@ def run_once(model: SimulationModel, seed: int, angle_threshold: float | None = 
     )
 
 
-def _run_once_args(args):
-    return run_once(*args)
+def _pool_map(fn, jobs, threads: int) -> list:
+    """[fn(*job) for job in jobs], in a pool of ``threads`` processes when
+    there is more than one of each; results keep the order of ``jobs``."""
+    if threads <= 1 or len(jobs) <= 1:
+        return [fn(*job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, *zip(*jobs)))
 
 
 def run_repetitions(model: SimulationModel, repetitions: int, seed: int,
@@ -338,10 +343,7 @@ def run_repetitions(model: SimulationModel, repetitions: int, seed: int,
                     threads: int = 1) -> list[RepetitionOutcome]:
     """Seed-indexed repetitions seed, seed+1, ...; loadings stay fixed at ``seed``."""
     jobs = [(model, seed + rep, angle_threshold, grid, seed) for rep in range(repetitions)]
-    if threads <= 1 or repetitions <= 1:
-        return [run_once(*job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_once_args, jobs))
+    return _pool_map(run_once, jobs, threads)
 
 
 def outcomes_tsv(outcomes: Sequence[RepetitionOutcome]) -> str:

@@ -1,14 +1,15 @@
 # Geometric kernel: orthonormal bases of score subspaces, sine distance and
 # principal angles of a direction to a subspace, top singular vectors from the
-# smaller Gram matrix, one-dimensional flag means, and deflation ("peeling" a
-# direction out of a subspace).
+# smaller Gram matrix, one-dimensional flag means, deflation ("peeling" a
+# direction out of a subspace) and projection onto the complement of a span.
 #
 # Conventions
 # -----------
 # - Ambient space is R^n (sample space); a subspace is stored as an n x r
 #   matrix with orthonormal columns. r = 0 encodes the zero subspace {0}.
-# - d(w, B)^2 = 1 - ||B^T w||^2 = sin^2(theta), theta = acute angle between
-#   the unit direction w and span(B).
+# - d(w, B) = ||w - B B^T w|| = sin(theta), theta = acute angle between the
+#   unit direction w and span(B). The residual norm does not cancel for w
+#   (nearly) inside span(B), as sqrt(1 - ||B^T w||^2) does.
 # - Singular/eigen vectors are sign-fixed: the entry of largest magnitude is
 #   made positive, ties broken by lowest index.
 
@@ -138,18 +139,20 @@ def orthonormalize(raw: np.ndarray, tol: float = 1e-12) -> OrthonormalBasis:
     return OrthonormalBasis(cols)
 
 
-def sine_distance(w: UnitDirection, B: OrthonormalBasis) -> float:
-    """sqrt(1 - ||B^T w||^2), clamped to [0, 1]; equals 1 for the zero subspace.
+def _sine(cols: np.ndarray, w: np.ndarray) -> float:
+    """||w - cols cols^T w||, clamped to at most 1: the sine of the angle
+    between a unit vector w and the span of orthonormal columns."""
+    resid = w - cols @ (cols.T @ w)
+    return float(min(np.linalg.norm(resid), 1.0))
 
-    Computed as ||w - B B^T w||, which, unlike 1 - ||B^T w||^2, does not
-    cancel for directions (nearly) inside span(B).
-    """
+
+def sine_distance(w: UnitDirection, B: OrthonormalBasis) -> float:
+    """sin of the angle between w and span(B), in [0, 1]; 1 for the zero subspace."""
     if w.n != B.n:
         raise ValueError(f"ambient dimensions differ: {w.n} vs {B.n}")
     if B.r == 0:
         return 1.0
-    resid = w.vector - B.columns @ (B.columns.T @ w.vector)
-    return float(min(np.linalg.norm(resid), 1.0))
+    return _sine(B.columns, w.vector)
 
 
 def principal_angle(w: UnitDirection, B: OrthonormalBasis) -> float:
@@ -163,7 +166,8 @@ def flag_mean_direction(bases) -> UnitDirection:
     Returns the first left singular vector of the column-wise concatenation
     of the bases, i.e. the unit w maximizing w^T (sum_k B_k B_k^T) w, which
     minimizes the summed squared sine distances to the subspaces. The sign
-    is fixed so the entry of largest magnitude is positive.
+    is fixed so the entry of largest magnitude is positive; a (near-)tied top
+    singular value is resolved by the rule of ``_flag_mean_refined``.
     """
     blocks = [b.columns for b in bases]
     if not blocks:
@@ -174,8 +178,7 @@ def flag_mean_direction(bases) -> UnitDirection:
             raise ValueError("all bases must share the ambient dimension")
         if cols.shape[1] == 0:
             raise ValueError("flag mean is undefined for a zero subspace")
-    _, U = _top_singular(np.hstack(blocks).T, 1)
-    return UnitDirection(_fix_sign(U[:, 0]))
+    return UnitDirection(_flag_mean_refined(blocks)[0])
 
 
 def _flag_mean_refined(blocks, tie_rtol: float = 1e-6):
@@ -237,3 +240,13 @@ def _deflate_cols(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
     v[0] = 1.0
     tau = (beta - x0) / beta
     return cols[:, 1:] - (tau * (cols @ v))[:, None] * v[1:]
+
+
+def _complement(cols: np.ndarray, Q: np.ndarray, tol: float) -> np.ndarray:
+    """Left singular vectors, with singular value > tol, of cols projected onto
+    the complement of span(Q): a direction of span(cols) inside span(Q) is
+    dropped, any other only tilts. cols itself when either side is empty."""
+    if cols.shape[1] == 0 or Q.shape[1] == 0:
+        return cols
+    U, s, _ = np.linalg.svd(cols - Q @ (Q.T @ cols), full_matrices=False)
+    return U[:, s > tol]

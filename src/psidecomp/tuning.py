@@ -145,6 +145,11 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
     for i0, i1, res in identify_path(train_signals, ordering, grid):
         loads = estimate_loadings(train_signals, res)
         U_stacked = stacked_loadings(loads, res)
+        if U_stacked.shape[1] > len(te):
+            raise ValueError(
+                f"the training fit claims a total rank of {U_stacked.shape[1]}, but "
+                f"the test half has n_test = {len(te)} of the n = {data.n} samples; "
+                f"lower the ranks so that they sum to at most {len(te)}")
         W_test, _ = test_scores(X_test_stacked, U_stacked)
         U_rows = [U_stacked[offsets[k]:offsets[k + 1]] for k in range(K)]
         risks += [empirical_risk(test_blocks, U_rows, W_test)] * (i1 - i0)
@@ -191,12 +196,15 @@ def mode_structure(structures: Sequence[PartialJointStructure]):
     return winner, best_count
 
 
+def _curve_rows(result: TuningResult) -> list[str]:
+    """One ``lambda_degrees<TAB>risk<TAB>dissimilarity`` line per grid point."""
+    dissim = dict(result.dissimilarity_curve)
+    return [f"{np.rad2deg(lam):.6g}\t{risk:.12g}\t{dissim.get(lam, '')}"
+            for lam, risk in result.risk_curve]
+
+
 def write_curves_tsv(result: TuningResult, path) -> None:
     """TSV with columns lambda_degrees, risk, dissimilarity."""
-    lines = ["lambda_degrees\trisk\tdissimilarity"]
-    dissim = {lam: d for lam, d in result.dissimilarity_curve}
-    for lam, risk in result.risk_curve:
-        d = dissim.get(lam, "")
-        lines.append(f"{np.rad2deg(lam):.6g}\t{risk:.12g}\t{d}")
+    lines = ["lambda_degrees\trisk\tdissimilarity", *_curve_rows(result)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

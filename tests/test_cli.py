@@ -279,6 +279,47 @@ class TestTune:
                 "n_train = 7 of the n = 14 samples") in err
 
 
+    def test_worker_pool_writes_same_curves(self, generated, tmp_path):
+        blocks = [str(generated / f"X_{k}.csv") for k in (1, 2, 3)]
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert run_cli("tune", "--blocks", *blocks, "--ranks", "4,4,4",
+                           "--grid", "0:30:2", "--reps", "3", "--seed", "6",
+                           "--threads", threads, "--out", str(out)) == 0
+            outs.append((out / "curves.tsv").read_bytes())
+        assert outs[0] == outs[1]
+        rows = outs[0].decode().strip().split("\n")
+        assert rows[0] == "rep\tlambda_degrees\trisk\tdissimilarity"
+        assert len(rows) == 1 + 3 * 16
+        assert [r.split("\t")[0] for r in rows[1::16]] == ["0", "1", "2"]
+
+    @pytest.mark.parametrize("command", (["tune"], ["decompose", "--tune"]))
+    def test_total_rank_above_test_half_exit_2(self, tmp_path, capsys, command):
+        # n = 15 splits 8 / 7: the training fit can claim 8 score columns,
+        # one more than the test half has samples.
+        gen = tmp_path / "odd"
+        assert run_cli("generate", "--model", "6", "--n", "15", "--p", "20",
+                       "--out", str(gen)) == 0
+        blocks = [str(gen / f"X_{k}.csv") for k in (1, 2, 3)]
+        code = run_cli(*command, "--blocks", *blocks, "--ranks", "3,3,3",
+                       "--center", "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("the training fit claims a total rank of 8, but the test half "
+                "has n_test = 7 of the n = 15 samples") in err
+        assert "Traceback" not in err
+
+    def test_total_rank_above_test_half_checked_per_fit(self, tmp_path):
+        # ranks summing past n_test are fine while no fit claims that many
+        gen = tmp_path / "even"
+        assert run_cli("generate", "--model", "6", "--n", "14", "--p", "20",
+                       "--out", str(gen)) == 0
+        blocks = [str(gen / f"X_{k}.csv") for k in (1, 2, 3)]
+        assert run_cli("tune", "--blocks", *blocks, "--ranks", "3,3,3",
+                       "--center", "--out", str(tmp_path / "o")) == 0
+
+
 class TestSimulate:
     def test_noiseless_summary(self, tmp_path):
         out = tmp_path / "sim"
@@ -292,6 +333,20 @@ class TestSimulate:
         assert summary["rse"]["mean"] <= 1e-10
         rows = (out / "results.tsv").read_text().strip().split("\n")
         assert len(rows) == 3
+
+    def test_worker_pool_matches_serial(self, tmp_path):
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert run_cli("simulate", "--model", "3", "--n", "40", "--p", "30",
+                           "--reps", "2", "--threads", threads,
+                           "--out", str(out)) == 0
+            rows = [line.split("\t") for line in
+                    (out / "results.tsv").read_text().strip().split("\n")]
+            wall = rows[0].index("wall_ms")
+            tables.append([row[:wall] + row[wall + 1:] for row in rows])
+        assert tables[0] == tables[1]
+        assert len(tables[0]) == 3
 
     def test_unknown_model_exit_2(self, tmp_path):
         code = run_cli("simulate", "--model", "9", "--snr", "10",

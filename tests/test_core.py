@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psidecomp import (
     IndexSet,
@@ -9,7 +11,9 @@ from psidecomp import (
     check_relative_independence,
     default_ordering,
     extract_signal,
+    generate,
     identify,
+    model_preset,
     ordering_from_lists,
 )
 from psidecomp.core import MultiBlockDataset
@@ -198,6 +202,30 @@ class TestIdentify:
         assert rec.index_set.members == (1, 2, 3)
         assert max(rec.angles) < np.deg2rad(5)
 
+    @pytest.mark.parametrize("seed", (5, 1000))
+    @pytest.mark.parametrize("model_id", range(1, 7))
+    def test_noiseless_recovery_at_tiny_threshold(self, model_id, seed):
+        # Directions shared exactly must read as angle 0, not as the ~1e-8
+        # that sqrt(1 - ||B^T w||^2) leaves after cancellation.
+        model = model_preset(model_id)
+        truth = generate(model, seed)
+        signals = [extract_signal(X, r, check_centering=False)
+                   for X, r in zip(truth.blocks, model.block_ranks())]
+        res = identify(signals, model.ordering, 1e-9)
+        assert res.structure.entries == model.structure.entries
+
+    def test_noiseless_acceptance_angles_vanish(self):
+        model = model_preset(6)
+        truth = generate(model, 5)
+        signals = [extract_signal(X, r, check_centering=False)
+                   for X, r in zip(truth.blocks, model.block_ranks())]
+        res = identify(signals, model.ordering, np.deg2rad(20))
+        assert res.structure.entries == model.structure.entries
+        angles = [a for rec in res.diagnostics for a in rec.angles]
+        # two directions of {1,2,3} at 3 angles each, two of each pair at 2
+        assert len(angles) == 2 * 3 + 3 * 2 * 2
+        assert max(angles) <= 1e-12
+
     def test_sample_dimension_mismatch_rejected(self):
         a = SignalEstimate(np.zeros((2, 4)), OrthonormalBasis(np.eye(4)[:, :1]), 1)
         b = SignalEstimate(np.zeros((2, 5)), OrthonormalBasis(np.eye(5)[:, :1]), 1)
@@ -208,6 +236,45 @@ class TestIdentify:
         sigs = signals_from_bases(independent_bases())
         with pytest.raises(ValueError):
             identify(sigs[:2], default_ordering(3), 0.1)
+
+
+def random_shared_signals(seed, K, n, noise):
+    """Centered blocks of rank 1-4 over n samples: one or two own directions
+    each, a direction that most blocks share, and one that blocks 1 and 2 share."""
+    rng = np.random.default_rng(seed)
+    shared = rng.standard_normal((n, 2))
+    signals, ranks = [], []
+    for k in range(K):
+        cols = [rng.standard_normal((n, int(rng.integers(1, 3))))]
+        if rng.random() < 0.7:
+            cols.append(shared[:, :1])
+        if k < 2:
+            cols.append(shared[:, 1:])
+        S = np.hstack(cols)
+        r = S.shape[1]
+        p = int(rng.integers(r, 9))
+        X = rng.standard_normal((p, r)) @ S.T + noise * rng.standard_normal((p, n))
+        signals.append(extract_signal(X - X.mean(axis=1, keepdims=True), r,
+                                      check_centering=False))
+        ranks.append(r)
+    return signals, ranks
+
+
+class TestIdentifyProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 4), n=st.integers(6, 14),
+           noise=st.sampled_from([0.0, 0.01, 0.1]), lam=st.floats(0.0, 1.5))
+    def test_invariants_on_random_blocks(self, seed, K, n, noise, lam):
+        signals, ranks = random_shared_signals(seed, K, n, noise)
+        res = identify(signals, default_ordering(K), lam)
+        W, _ = res.stacked_scores()
+        assert np.max(np.abs(W.T @ W - np.eye(W.shape[1])), initial=0.0) <= 1e-10
+        for k in range(1, K + 1):
+            assert res.structure.block_rank(k) <= ranks[k - 1]
+        angles = [a for rec in res.diagnostics for a in rec.angles]
+        assert all(a < lam for a in angles)
+        assert res.stable_interval[0] == max(
+            (max(rec.angles) for rec in res.diagnostics), default=-1.0)
 
 
 class TestUniquenessChecks:

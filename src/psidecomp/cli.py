@@ -16,6 +16,7 @@ from .core import (
     MultiBlockDataset,
     extract_signal,
     identify,
+    identify_path,
     is_row_centered,
     row_center,
 )
@@ -84,8 +85,10 @@ def _ranks_from_proportion(blocks, q: float) -> list[int]:
     for X in blocks:
         s = np.linalg.svd(X, compute_uv=False)
         power = s * s
-        frac = np.cumsum(power) / np.sum(power)
-        ranks.append(int(np.searchsorted(frac, q) + 1))
+        cum = np.cumsum(power)
+        # dividing by cum[-1], the total in the same rounding, ends the shares
+        # at exactly 1, so q = 1 never runs past the last singular value
+        ranks.append(int(np.searchsorted(cum / cum[-1], q) + 1))
     return ranks
 
 
@@ -142,13 +145,19 @@ def _load_dataset(args) -> MultiBlockDataset:
     if len(widths) != 1:
         raise ConfigError("matched samples required")
     if args.center:
-        blocks = [row_center(b) for b in blocks]
+        centered = [row_center(b) for b in blocks]
     else:
+        centered = blocks
         for i, b in enumerate(blocks):
             if not is_row_centered(b):
                 print(f"warning: block {i + 1} rows are not centered "
                       "(use --center to apply row centering)", file=sys.stderr)
-    return MultiBlockDataset(tuple(blocks))
+    for path, raw, b in zip(args.blocks, blocks, centered):
+        # centering a constant row leaves rounding residue, not exact zeros
+        if np.all(np.abs(b) <= 1e-12 * np.abs(raw).max(axis=1, keepdims=True)):
+            after = " after row centering" if args.center else ""
+            raise ConfigError(f"{path} is all zeros{after}")
+    return MultiBlockDataset(tuple(centered))
 
 
 def _resolve_ranks(args, data: MultiBlockDataset) -> list[int]:
@@ -205,7 +214,7 @@ def cmd_decompose(args) -> int:
                for X, r in zip(data.blocks, ranks)]
     if lam is None:
         tuned = select_lambda(data, ranks, ordering, grid, args.seed,
-                              whole_signals=signals)
+                              whole_path=identify_path(signals, ordering, grid))
         result = tuned.decomposition_hat
     else:
         result = identify(signals, ordering, lam)
@@ -244,7 +253,9 @@ def cmd_tune(args) -> int:
     signals = [extract_signal(X, r, check_centering=False)
                for X, r in zip(data.blocks, ranks)]
 
-    jobs = [(data, ranks, ordering, grid, args.seed + rep, signals)
+    # the whole-data path does not depend on the split, so every repetition shares it
+    whole_path = identify_path(signals, ordering, grid)
+    jobs = [(data, ranks, ordering, grid, args.seed + rep, whole_path)
             for rep in range(args.reps)]
     results = _pool_map(select_lambda, jobs, _threads(args))
     structures = [t.decomposition_hat.structure for t in results]

@@ -141,6 +141,111 @@ class DecompositionResult:
         return np.column_stack(cols), labels
 
 
+@dataclass(frozen=True, eq=False)
+class _Checkpoint:
+    """The state of an ``identify`` run just before one of its gates.
+
+    ``stage`` indexes the ordering; ``work`` and ``claimed`` are shallow
+    copies taken at the gate. ``finished`` ((index-set, basis) per finished
+    stage) and ``records`` are the run's own append-only lists, of which the
+    first ``n_finished`` and ``n_records`` entries existed at the gate. ``gate``
+    is the candidate that was rejected there, as (w, degenerate, angles), so
+    a resume decides it again without recomputing its flag mean; it is None
+    for the start of a run.
+    """
+
+    stage: int
+    work: tuple
+    claimed: tuple
+    finished: list
+    n_finished: int
+    records: list
+    n_records: int
+    lo: float
+    hi: float
+    gate: tuple | None = None
+
+    def passes(self, angle_threshold: float) -> bool:
+        return self.gate is None or all(a < angle_threshold for a in self.gate[2])
+
+
+def _check_signals(signals: Sequence[SignalEstimate], ordering: IndexOrdering) -> None:
+    if len(signals) != ordering.K:
+        raise ValueError(f"ordering expects {ordering.K} blocks, got {len(signals)}")
+    n = signals[0].score_basis.n
+    for sig in signals:
+        if sig.score_basis.n != n:
+            raise ValueError("all blocks must share the sample dimension n")
+
+
+def _start(signals: Sequence[SignalEstimate]) -> _Checkpoint:
+    work = tuple(np.array(sig.score_basis.columns) for sig in signals)
+    return _Checkpoint(0, work, (), [], 0, [], 0, -1.0, np.inf)
+
+
+def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Checkpoint):
+    """Run ``identify`` from checkpoint ``cp`` on.
+
+    Returns the result and the checkpoints of the gates this run rejected, in
+    order. The result equals ``identify`` from the start whenever every gate
+    before ``cp`` decides the same way at ``angle_threshold``.
+    """
+    K = ordering.K
+    n = signals[0].score_basis.n
+    work = list(cp.work)
+    finished = cp.finished[:cp.n_finished]
+    records = cp.records[:cp.n_records]
+    lo, hi = cp.lo, cp.hi
+    gate = cp.gate
+    rejected = []
+
+    for stage in range(cp.stage, len(ordering)):
+        subset = ordering.sets[stage]
+        idx = [m - 1 for m in subset.members]
+        claimed = list(cp.claimed) if stage == cp.stage else []
+        if len(idx) == 1:
+            k = idx[0]
+            claimed = [work[k][:, j] for j in range(work[k].shape[1])]
+            work[k] = np.zeros((n, 0))
+        else:
+            while all(work[i].shape[1] > 0 for i in idx):
+                if gate is None:
+                    w, degenerate = _flag_mean_refined([work[i] for i in idx])
+                    angles = tuple(float(np.arcsin(_sine(work[i], w))) for i in idx)
+                else:
+                    (w, degenerate, angles), gate = gate, None
+                worst = max(angles)
+                if not all(a < angle_threshold for a in angles):
+                    rejected.append(_Checkpoint(
+                        stage, tuple(work), tuple(claimed), finished, len(finished),
+                        records, len(records), lo, hi, (w, degenerate, angles)))
+                    hi = min(hi, worst)
+                    break
+                if any(np.linalg.norm(work[i].T @ w) <= 1e-12 for i in idx):
+                    # Nothing to peel: the stage ends as a failed gate would,
+                    # whatever the threshold, so neither bound moves.
+                    break
+                lo = max(lo, worst)
+                for i in idx:
+                    work[i] = _deflate_cols(work[i], w)
+                claimed.append(w)
+                records.append(AcceptanceRecord(subset, angles, degenerate))
+        # A direction shared with a claimed one leaves a residue of up to about
+        # 1e-10 (the Gram-side bases are accurate to that), which must count as
+        # zero: renormalized, it is not orthogonal to the claimed directions.
+        for w in claimed:
+            for other in range(K):
+                if other not in idx:
+                    work[other] = _complement(work[other], w[:, None], 1e-8)
+        mat = np.column_stack(claimed) if claimed else np.zeros((n, 0))
+        finished.append((subset, OrthonormalBasis(mat)))
+
+    structure = PartialJointStructure(tuple((s, b.r) for s, b in finished), K)
+    result = DecompositionResult(structure, dict(finished), float(angle_threshold),
+                                 ordering, tuple(records), (float(lo), float(hi)))
+    return result, rejected
+
+
 def identify(
     signals: Sequence[SignalEstimate],
     ordering: IndexOrdering,
@@ -160,59 +265,15 @@ def identify(
     left of its block's basis verbatim.
 
     Every gate compares a candidate's largest angle with the threshold, so
-    the result is the same for every threshold in ``stable_interval``.
+    the result is the same for every threshold in ``stable_interval``. The
+    run saves a checkpoint before each gate it rejects, which is what
+    ``identify_path`` resumes from; ``identify`` itself is a resume from the
+    empty checkpoint.
     """
     if not 0.0 <= angle_threshold < np.pi / 2:
         raise ValueError("angle threshold must lie in [0, pi/2)")
-    K = ordering.K
-    if len(signals) != K:
-        raise ValueError(f"ordering expects {K} blocks, got {len(signals)}")
-    n = signals[0].score_basis.n
-    for sig in signals:
-        if sig.score_basis.n != n:
-            raise ValueError("all blocks must share the sample dimension n")
-
-    work = [np.array(sig.score_basis.columns) for sig in signals]
-    scores: dict = {}
-    entries = []
-    records = []
-    lo, hi = -1.0, np.inf
-
-    for subset in ordering:
-        idx = [m - 1 for m in subset.members]
-        claimed: list[np.ndarray] = []
-        if len(idx) == 1:
-            k = idx[0]
-            claimed = [work[k][:, j] for j in range(work[k].shape[1])]
-            work[k] = np.zeros((n, 0))
-        else:
-            while all(work[i].shape[1] > 0 for i in idx):
-                w, degenerate = _flag_mean_refined([work[i] for i in idx])
-                angles = [float(np.arcsin(_sine(work[i], w))) for i in idx]
-                worst = max(angles)
-                if not all(a < angle_threshold for a in angles):
-                    hi = min(hi, worst)
-                    break
-                if any(np.linalg.norm(work[i].T @ w) <= 1e-12 for i in idx):
-                    # Nothing to peel: the stage ends as a failed gate would,
-                    # whatever the threshold, so neither bound moves.
-                    break
-                lo = max(lo, worst)
-                for i in idx:
-                    work[i] = _deflate_cols(work[i], w)
-                claimed.append(w)
-                records.append(AcceptanceRecord(subset, tuple(angles), degenerate))
-        for w in claimed:
-            for other in range(K):
-                if other not in idx:
-                    work[other] = _complement(work[other], w[:, None], 1e-10)
-        mat = np.column_stack(claimed) if claimed else np.zeros((n, 0))
-        scores[subset] = OrthonormalBasis(mat)
-        entries.append((subset, mat.shape[1]))
-
-    structure = PartialJointStructure(tuple(entries), K)
-    return DecompositionResult(structure, scores, float(angle_threshold), ordering,
-                               tuple(records), (float(lo), float(hi)))
+    _check_signals(signals, ordering)
+    return _resume(signals, ordering, angle_threshold, _start(signals))[0]
 
 
 def identify_path(
@@ -224,16 +285,31 @@ def identify_path(
 
     Returns ``(i_start, i_end, result)`` triples that cover the grid in order:
     ``result`` is ``identify`` at ``grid[i_start]`` and equals it at every
-    ``grid[i]`` with ``i_start <= i < i_end``. After each call the path jumps
-    to the first grid point above the result's ``stable_interval``.
+    ``grid[i]`` with ``i_start <= i < i_end``. After each result the path
+    jumps to the first grid point above its ``stable_interval``.
+
+    A larger threshold can only turn a rejected gate into an accepted one, so
+    a run at the next grid point repeats the last run up to the first
+    rejected gate whose largest angle is now below the threshold. The path
+    resumes there from the checkpoint the last run saved, in the manner of a
+    homotopy path followed from breakpoint to breakpoint (LARS, Efron et al.
+    2004). The gates rejected before it have angles at or above the new
+    threshold, so they stay rejected: their checkpoints are kept and those of
+    the resumed run are appended to them.
     """
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
+    if not np.all((grid >= 0.0) & (grid < np.pi / 2)):
+        raise ValueError("grid values must lie in [0, pi/2)")
+    _check_signals(signals, ordering)
     path = []
+    saved = [_start(signals)]
     i = 0
     while i < grid.size:
-        result = identify(signals, ordering, grid[i])
+        k = next(k for k, cp in enumerate(saved) if cp.passes(grid[i]))
+        result, rejected = _resume(signals, ordering, grid[i], saved[k])
+        saved = saved[:k] + rejected
         j = int(np.searchsorted(grid, result.stable_interval[1], side="right"))
         path.append((i, j, result))
         i = j

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MultiBlockDataset, extract_signal, identify
+from .core import MultiBlockDataset, extract_signal, identify, identify_path
 from .loading import LoadingSet, estimate_loadings, reconstruct
 from .structure import (
     IndexOrdering,
@@ -313,7 +313,7 @@ def run_once(model: SimulationModel, seed: int, angle_threshold: float | None = 
     else:
         grid = default_grid() if grid is None else grid
         tuned = select_lambda(data, ranks, model.ordering, grid, seed,
-                              whole_signals=signals)
+                              whole_path=identify_path(signals, model.ordering, grid))
         result = tuned.decomposition_hat
         lam = tuned.lambda_hat
     loads = estimate_loadings(signals, result)

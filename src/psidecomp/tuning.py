@@ -101,7 +101,7 @@ class TuningResult:
 
 def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
                   ordering: IndexOrdering, grid: Sequence[float], seed: int,
-                  whole_signals=None) -> TuningResult:
+                  whole_path=None) -> TuningResult:
     """Two-stage threshold selection on one random data split.
 
     Stage one minimizes the held-out reconstruction risk over the grid; stage
@@ -109,6 +109,11 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
     structure is closest (in the squared-Hamming dissimilarity) to the
     training structure at the risk minimizer. Ties go to the smallest
     threshold. Deterministic given (data, ranks, ordering, grid, seed).
+
+    ``whole_path`` is ``identify_path`` over ``grid`` on the whole data's
+    signals at ``ranks``. It depends on neither the split nor the seed, so a
+    caller that tunes one dataset several times computes it once and passes
+    it in; when it is None it is computed here.
     """
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
@@ -160,11 +165,12 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
     lambda_tilde = float(grid[i_tilde])
     structure_train = train_structures[i_tilde]
 
-    if whole_signals is None:
+    if whole_path is None:
         whole_signals = [extract_signal(X, r, check_centering=False)
                          for X, r in zip(data.blocks, ranks)]
+        whole_path = identify_path(whole_signals, ordering, grid)
     dists, whole_results = [], []
-    for i0, i1, res in identify_path(whole_signals, ordering, grid):
+    for i0, i1, res in whole_path:
         dists += [dissimilarity(structure_train, res.structure)] * (i1 - i0)
         whole_results += [res] * (i1 - i0)
     dissim_curve = [(float(lam), d) for lam, d in zip(grid, dists)]

@@ -124,6 +124,21 @@ class TestDecompose:
         total = sum(e["rank"] * len(e["blocks"]) for e in structure["entries"])
         assert total == 12
 
+    @pytest.mark.parametrize("seed", (1, 2, 3, 4, 5))
+    def test_var_prop_one_keeps_ranks_in_range(self, tmp_path, seed):
+        # the cumulative variance share must end at exactly 1, or q = 1 runs
+        # past the last singular value
+        gen = tmp_path / "gen"
+        assert run_cli("generate", "--model", "1", "--snr", "15", "--n", "30",
+                       "--p", "20", "--seed", str(seed), "--out", str(gen)) == 0
+        out = tmp_path / "dec"
+        blocks = [str(gen / f"X_{k}.csv") for k in (1, 2, 3)]
+        assert run_cli("decompose", "--blocks", *blocks, "--var-prop", "1.0", "--center",
+                       "--lambda-deg", "20", "--out", str(out)) == 0
+        structure = json.loads((out / "structure.json").read_text())
+        for k in (1, 2, 3):
+            assert sum(e["rank"] for e in structure["entries"] if k in e["blocks"]) <= 20
+
     def test_ordering_file_and_centering(self, generated, tmp_path):
         ordering_file = tmp_path / "ordering.json"
         ordering_file.write_text(
@@ -248,7 +263,7 @@ class TestTune:
                            "--grid", "5:25:5", "--reps", "2", "--seed", "4",
                            "--threads", threads, "--out", str(out))
             assert code == 0
-            outs.append((out / "tune.json").read_bytes())
+            outs.append([(out / name).read_bytes() for name in ("tune.json", "curves.tsv")])
         assert outs[0] == outs[1]
 
 
@@ -318,6 +333,34 @@ class TestTune:
         blocks = [str(gen / f"X_{k}.csv") for k in (1, 2, 3)]
         assert run_cli("tune", "--blocks", *blocks, "--ranks", "3,3,3",
                        "--center", "--out", str(tmp_path / "o")) == 0
+
+
+DATA_COMMANDS = (["decompose", "--lambda-deg", "20"], ["decompose", "--tune"], ["tune"])
+
+
+class TestDegenerateBlocks:
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
+    @pytest.mark.parametrize("value, center", ((7.7, ["--center"]), (0.0, [])))
+    def test_all_zero_block_exit_2(self, generated, tmp_path, capsys, command, value,
+                                   center):
+        # centering rows of 7.7 leaves rounding residue near 1e-15, not zeros
+        const = tmp_path / "const.csv"
+        np.savetxt(const, np.full((30, 40), value), delimiter=",")
+        blocks = [str(generated / "X_1.csv"), str(generated / "X_2.csv"), str(const)]
+        out = tmp_path / "o"
+        code = run_cli(*command, "--blocks", *blocks, "--ranks", "4,4,4", *center,
+                       "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{const} is all zeros" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
+    def test_duplicated_block_runs(self, generated, tmp_path, command):
+        blocks = [str(generated / f"X_{k}.csv") for k in (1, 2, 1)]
+        assert run_cli(*command, "--blocks", *blocks, "--ranks", "4,4,4",
+                       "--out", str(tmp_path / "o")) == 0
 
 
 class TestSimulate:

@@ -1,0 +1,107 @@
+"""The threshold path resumes each run from the previous one's checkpoint.
+
+``identify_path`` restarts nothing: a run at the next grid point resumes at
+the first saved gate that the larger threshold flips. These tests check that
+a whole-data path handed to ``select_lambda`` gives the same tuning as the
+path it builds itself, that the resumed path computes fewer flag means than
+one fresh ``identify`` per interval, and that the path keeps every input
+check of ``identify``.
+"""
+
+import numpy as np
+import pytest
+
+from psidecomp import (
+    core,
+    default_grid,
+    extract_signal,
+    generate,
+    identify,
+    identify_path,
+    model_preset,
+    select_lambda,
+)
+
+SEEDS = (1000, 1001, 1002)
+
+
+def small_model(model_id):
+    return model_preset(model_id, snr=15.0, n=120, block_size=80)
+
+
+def signals_of(truth, ranks):
+    return [extract_signal(X, r, check_centering=False) for X, r in zip(truth.blocks, ranks)]
+
+
+@pytest.mark.parametrize("model_id", range(1, 7))
+def test_given_whole_path_matches_computed(model_id):
+    model = small_model(model_id)
+    ranks, grid = model.block_ranks(), default_grid()
+    for seed in SEEDS:
+        truth = generate(model, seed)
+        data = truth.dataset()
+        path = identify_path(signals_of(truth, ranks), model.ordering, grid)
+        given = select_lambda(data, ranks, model.ordering, grid, seed, whole_path=path)
+        built = select_lambda(data, ranks, model.ordering, grid, seed)
+        assert given.risk_curve == built.risk_curve
+        assert given.dissimilarity_curve == built.dissimilarity_curve
+        assert given.lambda_tilde == built.lambda_tilde
+        assert given.lambda_hat == built.lambda_hat
+        assert given.structure_train.entries == built.structure_train.entries
+        hat_given, hat_built = given.decomposition_hat, built.decomposition_hat
+        assert hat_given.structure.entries == hat_built.structure.entries
+        assert hat_given.angle_threshold == hat_built.angle_threshold
+        assert (hat_given.stacked_scores()[0].tobytes()
+                == hat_built.stacked_scores()[0].tobytes())
+
+
+def test_resume_computes_fewer_flag_means(monkeypatch):
+    calls = [0]
+    flag_mean = core._flag_mean_refined
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return flag_mean(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_flag_mean_refined", counted)
+    model = small_model(6)
+    grid = default_grid()
+    for seed in SEEDS:
+        signals = signals_of(generate(model, seed), model.block_ranks())
+        calls[0] = 0
+        path = identify_path(signals, model.ordering, grid)
+        resumed = calls[0]
+        calls[0] = 0
+        for i0, _, _ in path:
+            identify(signals, model.ordering, grid[i0])
+        restarted = calls[0]
+        assert len(path) > 1
+        assert resumed < restarted, (seed, resumed, restarted)
+
+
+class TestPathChecks:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        model = small_model(1)
+        return model, signals_of(generate(model, 0), model.block_ranks())
+
+    @pytest.mark.parametrize("grid", ([0.1, 1.0, np.pi / 2], [-0.1, 0.2], [0.1, np.nan]))
+    def test_grid_outside_threshold_range(self, setup, grid):
+        # checked up front: a path whose last interval is unbounded never
+        # reaches the bad grid point
+        model, signals = setup
+        with pytest.raises(ValueError, match=r"\[0, pi/2\)"):
+            identify_path(signals, model.ordering, grid)
+
+    def test_block_count_must_match_ordering(self, setup):
+        model, signals = setup
+        with pytest.raises(ValueError, match="ordering expects 3 blocks"):
+            identify_path(signals[:2], model.ordering, [0.1, 0.2])
+
+    def test_sample_dimension_must_match(self, setup):
+        model, signals = setup
+        other = small_model(1)
+        short = extract_signal(generate(other, 0).blocks[2][:, :100], 2,
+                               check_centering=False)
+        with pytest.raises(ValueError, match="sample dimension"):
+            identify_path([*signals[:2], short], model.ordering, [0.1, 0.2])

@@ -12,7 +12,7 @@ import numpy as np
 from .core import DecompositionResult, SignalEstimate
 from .structure import IndexSet
 
-GRAM_RTOL = 1e-10  # pseudo-inverse cutoff for the score Gram matrix
+_GRAM_ATOL = 1e-8  # max |W_(k)^T W_(k) - I| entry that estimate_loadings accepts
 
 
 @dataclass(eq=False)
@@ -45,9 +45,11 @@ def estimate_loadings(signals: Sequence[SignalEstimate],
     """Solve min ||Zhat_k - U_(k) W_(k)^T||_F per block under the block sparsity.
 
     W_(k) concatenates the estimated score bases of the index-sets containing
-    k; the closed-form solution uses a pseudo-inverse of the Gram matrix,
-    which is the identity whenever the identification guarantees orthonormal
-    concatenated scores.
+    k. Precondition: W_(k) has orthonormal columns, which ``identify``
+    guarantees (its stacked scores are orthonormal to about 1e-10). Then
+    W_(k)^T W_(k) = I and the least-squares solution is U_(k) = Zhat_k W_(k).
+    Raises ValueError when an entry of W_(k)^T W_(k) - I exceeds 1e-8 in
+    magnitude.
     """
     K = result.ordering.K
     if len(signals) != K:
@@ -58,8 +60,11 @@ def estimate_loadings(signals: Sequence[SignalEstimate],
         if not cols:
             continue
         W = np.hstack(cols)
-        gram = W.T @ W
-        U_k = signals[k - 1].zhat @ W @ np.linalg.pinv(gram, rcond=GRAM_RTOL)
+        if np.max(np.abs(W.T @ W - np.eye(W.shape[1]))) > _GRAM_ATOL:
+            raise ValueError(
+                f"the score bases of the index-sets containing block {k} are not "
+                f"orthonormal together; estimate_loadings needs W_(k)^T W_(k) = I")
+        U_k = signals[k - 1].zhat @ W
         offset = 0
         for subset, part in zip(subsets, cols):
             r = part.shape[1]

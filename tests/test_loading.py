@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from psidecomp import (
+    DecompositionResult,
     IndexSet,
+    OrthonormalBasis,
+    PartialJointStructure,
+    default_ordering,
     estimate_loadings,
     extract_signal,
     generate,
@@ -74,6 +78,23 @@ class TestEstimateLoadings:
         for (k, subset) in loads.blocks:
             assert k in subset
             assert result.structure.rank_of(subset) > 0
+
+    def test_non_orthonormal_scores_rejected(self):
+        # the bases of {1,2} and {1} are unit vectors 45 degrees apart, so
+        # W_(1)^T W_(1) has off-diagonal 1/sqrt(2); block 2 sees only e1
+        e1 = np.array([[1.0], [0.0], [0.0], [0.0], [0.0]])
+        tilted = np.array([[1.0], [1.0], [0.0], [0.0], [0.0]]) / math.sqrt(2.0)
+        ordering = default_ordering(2)
+        structure = PartialJointStructure(
+            ((IndexSet.of(1, 2), 1), (IndexSet.of(1), 1), (IndexSet.of(2), 0)), 2)
+        scores = {IndexSet.of(1, 2): OrthonormalBasis(e1),
+                  IndexSet.of(1): OrthonormalBasis(tilted)}
+        result = DecompositionResult(structure, scores, 0.1, ordering)
+        rng = np.random.default_rng(0)
+        signals = [extract_signal(rng.standard_normal((4, 5)), r, check_centering=False)
+                   for r in (2, 1)]
+        with pytest.raises(ValueError, match="block 1 are not orthonormal"):
+            estimate_loadings(signals, result)
 
 
 class TestReconstruct:

@@ -15,8 +15,6 @@ import pytest
 from psidecomp import (
     default_grid,
     dissimilarity,
-    empirical_risk,
-    estimate_loadings,
     extract_signal,
     generate,
     identify,
@@ -24,9 +22,8 @@ from psidecomp import (
     model_preset,
     select_lambda,
     split,
-    stacked_loadings,
 )
-from psidecomp import test_scores as procrustes_scores
+from psidecomp.tuning import _heldout_pieces, _heldout_risk
 
 SEEDS = (1000, 1001, 1002)
 
@@ -149,14 +146,13 @@ def brute_force_select_lambda(data, ranks, ordering, grid, seed):
     test = [X[:, list(plan.test)] for X in data.blocks]
     train_signals = [extract_signal(B, r, check_centering=False)
                      for B, r in zip(train, ranks)]
-    offsets = np.concatenate([[0], np.cumsum([b.shape[0] for b in test])])
+    # The held-out risk of one training result is select_lambda's own
+    # function; tests/test_tuning.py pins it to the p-space helpers.
+    pieces = _heldout_pieces(train, test, train_signals)
     risks, train_structures = [], []
     for lam in grid:
         res = identify(train_signals, ordering, lam)
-        U = stacked_loadings(estimate_loadings(train_signals, res), res)
-        W, _ = procrustes_scores(np.vstack(test), U)
-        rows = [U[offsets[k]:offsets[k + 1]] for k in range(data.K)]
-        risks.append(empirical_risk(test, rows, W))
+        risks.append(_heldout_risk(pieces, res))
         train_structures.append(res.structure)
     i_tilde = int(np.argmin(risks))
     signals = [extract_signal(X, r, check_centering=False)

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from psidecomp import (
     IndexSet,
@@ -17,6 +19,20 @@ from psidecomp import (
     structures_equal,
     to_binary_multiset,
 )
+
+
+def structures(K):
+    """Random structures over default_ordering(K), ranks 0..2 per index-set."""
+    sets = default_ordering(K).sets
+    return st.lists(st.integers(0, 2), min_size=len(sets), max_size=len(sets)).map(
+        lambda ranks: PartialJointStructure(tuple(zip(sets, ranks)), K))
+
+
+# (a, b, a with its entries reordered), all over the same K in 2..4
+structure_triples = st.integers(2, 4).flatmap(lambda K: st.tuples(
+    structures(K), structures(K), st.permutations(range(2**K - 1))).map(
+    lambda t: (t[0], t[1], PartialJointStructure(
+        tuple(t[0].entries[i] for i in t[2]), K))))
 
 
 def make_structure(K, ranks_by_members):
@@ -170,3 +186,20 @@ class TestCanonicalDisplayAndJson:
         assert s.block_rank(2) == 3
         assert s.block_rank(3) == 6
         assert s.total_rank() == 7
+
+
+class TestStructureProperties:
+    @given(s=st.integers(2, 4).flatmap(structures))
+    def test_json_round_trip(self, s):
+        back = structure_from_json(structure_to_json(s))
+        assert back.K == s.K
+        assert canonical_display(back) == canonical_display(s)
+        assert structures_equal(back, s)
+
+    @given(triple=structure_triples)
+    def test_dissimilarity_symmetric_and_zero_iff_equal(self, triple):
+        a, b, a_reordered = triple
+        assert dissimilarity(a, b) == dissimilarity(b, a)
+        assert (dissimilarity(a, b) == 0) == structures_equal(a, b)
+        assert dissimilarity(a, a_reordered) == 0
+        assert structures_equal(a, a_reordered)

@@ -5,19 +5,25 @@ import pytest
 import scipy.linalg
 
 from psidecomp import (
+    MultiBlockDataset,
     default_grid,
     default_ordering,
     empirical_risk,
+    estimate_loadings,
+    extract_signal,
     generate,
+    identify_path,
     mode_structure,
     model_preset,
     select_lambda,
     split,
+    stacked_loadings,
     structures_equal,
     write_curves_tsv,
 )
 from psidecomp import test_scores as procrustes_scores
 from psidecomp.structure import PartialJointStructure
+from psidecomp.tuning import _heldout_pieces, _heldout_risk
 
 
 def make_structure(K, ranks_by_members):
@@ -142,7 +148,47 @@ class TestEmpiricalRisk:
             empirical_risk([np.zeros((3, 4))], [np.zeros((3, 1))], np.zeros((4, 1)))
 
 
+def p_space_risk(train_signals, test_blocks, result):
+    """The held-out risk through p x r loadings and the stacked test half."""
+    U = stacked_loadings(estimate_loadings(train_signals, result), result)
+    W, _ = procrustes_scores(np.vstack(test_blocks), U)
+    offsets = np.cumsum([0] + [X.shape[0] for X in test_blocks])
+    rows = [U[offsets[k]:offsets[k + 1]] for k in range(len(test_blocks))]
+    return empirical_risk(test_blocks, rows, W)
+
+
+class TestHeldOutRisk:
+    @pytest.mark.parametrize("seed", (1000, 1001, 1002))
+    @pytest.mark.parametrize("model_id", range(1, 7))
+    def test_matches_p_space_oracle(self, model_id, seed):
+        model = model_preset(model_id, snr=15.0, n=120, block_size=80)
+        data = generate(model, seed).dataset()
+        plan = split(data.n, seed)
+        train = [X[:, list(plan.train)] for X in data.blocks]
+        test = [X[:, list(plan.test)] for X in data.blocks]
+        signals = [extract_signal(B, r, check_centering=False)
+                   for B, r in zip(train, model.block_ranks())]
+        pieces = _heldout_pieces(train, test, signals)
+        path = identify_path(signals, model.ordering, default_grid())
+        assert len(path) > 1
+        for _, _, res in path:
+            assert _heldout_risk(pieces, res) == pytest.approx(
+                p_space_risk(signals, test, res), rel=1e-12)
+
+
 class TestSelectLambda:
+    def test_zero_test_block_rejected(self):
+        # block 2 is nonzero on the training half, so only the risk sees it
+        model = model_preset(6, snr=15.0, n=40, block_size=20)
+        data = generate(model, seed=3).dataset()
+        test = list(split(data.n, seed=3).test)
+        blocks = [X.copy() for X in data.blocks]
+        blocks[1][:, test] = 0.0
+        assert np.any(blocks[1] != 0.0)
+        with pytest.raises(ValueError, match="test block with zero norm"):
+            select_lambda(MultiBlockDataset(tuple(blocks)), model.block_ranks(),
+                          model.ordering, default_grid(), seed=3)
+
     def test_singleton_grid(self):
         model = model_preset(2, snr=20.0, n=40, block_size=30)
         truth = generate(model, seed=0)

@@ -28,7 +28,7 @@ from .simgen import (
     model_preset,
     outcomes_tsv,
     run_repetitions,
-    summary_json,
+    summarize,
 )
 from .structure import (
     default_ordering,
@@ -65,22 +65,28 @@ def _write_csv_matrix(path: str, M: np.ndarray, header: str | None = None) -> No
                header=header or "", comments="")
 
 
+def _write_json(out: str, name: str, payload) -> None:
+    with open(os.path.join(out, name), "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def _parse_ranks(text: str, K: int) -> list[int]:
     parts = [p for p in text.split(",") if p != ""]
     if len(parts) != K:
         raise ConfigError(f"--ranks needs {K} comma-separated integers")
     ranks = []
-    for p in parts:
+    for k, p in enumerate(parts, start=1):
         try:
             ranks.append(int(p))
         except ValueError:
             raise ConfigError(f"bad rank value {p!r}")
+        if ranks[-1] < 1:
+            raise ConfigError(f"rank {ranks[-1]} out of range for block {k}")
     return ranks
 
 
 def _ranks_from_proportion(blocks, q: float) -> list[int]:
-    if not 0.0 < q <= 1.0:
-        raise ConfigError("--var-prop must lie in (0, 1]")
     ranks = []
     for X in blocks:
         s = np.linalg.svd(X, compute_uv=False)
@@ -132,6 +138,54 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
+def _resolve_model(args):
+    for flag, value in (("--n", args.n), ("--p", args.p)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be at least 1")
+    snr = math.inf if args.snr.lower() in ("inf", "infinity") else float(args.snr)
+    if snr <= 0:
+        raise ConfigError("--snr must be positive or inf")
+    if args.model in ("joint_strong", "individual_strong"):
+        return imbalanced_preset(args.model, snr=snr, n=args.n,
+                                 block_size=100 if args.p is None else args.p)
+    try:
+        model_id = int(args.model)
+    except ValueError:
+        raise ConfigError(f"unknown model {args.model!r}")
+    return model_preset(model_id, snr=snr, n=args.n,
+                        block_size=200 if args.p is None else args.p)
+
+
+def _check_args(args) -> None:
+    """Check every argument that needs no data block, before any is read, and
+    store the resolved values on ``args``: ``lam`` (radians; None tunes),
+    ``grid``, ``threads``, ``ranks`` (None for --var-prop), ``ordering``, ``model``."""
+    if getattr(args, "reps", 1) < 1:
+        raise ConfigError("--reps must be at least 1")
+    if hasattr(args, "tune"):
+        # simulate tunes unless a fixed threshold is given
+        tune = args.tune or (args.command == "simulate" and args.lambda_deg is None)
+        if (args.lambda_deg is not None) == tune:
+            raise ConfigError("exactly one of --lambda-deg or --tune is required")
+        args.lam = None if tune else math.radians(args.lambda_deg)
+        if not (tune or 0.0 <= args.lam < math.pi / 2):
+            raise ConfigError("--lambda-deg must lie in [0, 90)")
+    if hasattr(args, "grid"):
+        args.grid = _parse_grid(args.grid) if args.grid else default_grid()
+    if hasattr(args, "threads"):
+        args.threads = _threads(args)
+    if hasattr(args, "blocks"):
+        if (args.ranks is None) == (args.var_prop is None):
+            raise ConfigError("exactly one of --ranks or --var-prop is required")
+        if args.ranks is not None:
+            args.ranks = _parse_ranks(args.ranks, len(args.blocks))
+        elif not 0.0 < args.var_prop <= 1.0:
+            raise ConfigError("--var-prop must lie in (0, 1]")
+        args.ordering = _load_ordering(args.ordering, len(args.blocks))
+    if hasattr(args, "model"):
+        args.model = _resolve_model(args)
+
+
 def _load_dataset(args) -> MultiBlockDataset:
     blocks = []
     for path in args.blocks:
@@ -160,29 +214,16 @@ def _load_dataset(args) -> MultiBlockDataset:
     return MultiBlockDataset(tuple(centered))
 
 
-def _resolve_ranks(args, data: MultiBlockDataset) -> list[int]:
-    if (args.ranks is None) == (args.var_prop is None):
-        raise ConfigError("exactly one of --ranks or --var-prop is required")
-    if args.ranks is not None:
-        ranks = _parse_ranks(args.ranks, data.K)
-    else:
-        ranks = _ranks_from_proportion(data.blocks, args.var_prop)
+def _load_signals(args):
+    """The dataset, its signal ranks and one signal estimate per block."""
+    data = _load_dataset(args)
+    ranks = args.ranks or _ranks_from_proportion(data.blocks, args.var_prop)
     for k, (r, X) in enumerate(zip(ranks, data.blocks), start=1):
-        if not 1 <= r <= min(X.shape):
+        if r > min(X.shape):
             raise ConfigError(f"rank {r} out of range for block {k}")
-    return ranks
-
-
-def _angles_config(args):
-    has_lambda = args.lambda_deg is not None
-    if has_lambda == bool(args.tune):
-        raise ConfigError("exactly one of --lambda-deg or --tune is required")
-    if has_lambda:
-        lam = math.radians(args.lambda_deg)
-        if not 0.0 <= lam < math.pi / 2:
-            raise ConfigError("--lambda-deg must lie in [0, 90)")
-        return lam
-    return None
+    signals = [extract_signal(X, r, check_centering=False)
+               for X, r in zip(data.blocks, ranks)]
+    return data, ranks, signals
 
 
 def _diagnostics_payload(result) -> dict:
@@ -205,25 +246,17 @@ def _diagnostics_payload(result) -> dict:
 
 
 def cmd_decompose(args) -> int:
-    data = _load_dataset(args)
-    ranks = _resolve_ranks(args, data)
-    ordering = _load_ordering(args.ordering, data.K)
-    lam = _angles_config(args)
-    grid = _parse_grid(args.grid) if args.grid else default_grid()
-    signals = [extract_signal(X, r, check_centering=False)
-               for X, r in zip(data.blocks, ranks)]
-    if lam is None:
-        tuned = select_lambda(data, ranks, ordering, grid, args.seed,
-                              whole_path=identify_path(signals, ordering, grid))
+    data, ranks, signals = _load_signals(args)
+    if args.lam is None:
+        tuned = select_lambda(data, ranks, args.ordering, args.grid, args.seed,
+                              whole_path=identify_path(signals, args.ordering, args.grid))
         result = tuned.decomposition_hat
     else:
-        result = identify(signals, ordering, lam)
+        result = identify(signals, args.ordering, args.lam)
     loads = estimate_loadings(signals, result)
 
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "structure.json"), "w") as fh:
-        json.dump(structure_to_dict(result.structure), fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, "structure.json", structure_to_dict(result.structure))
     W, labels = result.stacked_scores()
     _write_csv_matrix(os.path.join(args.out, "scores.csv"), W,
                       header=",".join(s.label() for s in labels))
@@ -237,41 +270,27 @@ def cmd_decompose(args) -> int:
         mat = np.hstack(cols) if cols else np.zeros((data.blocks[k - 1].shape[0], 0))
         _write_csv_matrix(os.path.join(args.out, f"loadings_{k}.csv"), mat,
                           header=",".join(names))
-    with open(os.path.join(args.out, "diagnostics.json"), "w") as fh:
-        json.dump(_diagnostics_payload(result), fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, "diagnostics.json", _diagnostics_payload(result))
     return 0
 
 
 def cmd_tune(args) -> int:
-    if args.reps < 1:
-        raise ConfigError("--reps must be at least 1")
-    data = _load_dataset(args)
-    ranks = _resolve_ranks(args, data)
-    ordering = _load_ordering(args.ordering, data.K)
-    grid = _parse_grid(args.grid) if args.grid else default_grid()
-    signals = [extract_signal(X, r, check_centering=False)
-               for X, r in zip(data.blocks, ranks)]
-
+    data, ranks, signals = _load_signals(args)
     # the whole-data path does not depend on the split, so every repetition shares it
-    whole_path = identify_path(signals, ordering, grid)
-    jobs = [(data, ranks, ordering, grid, args.seed + rep, whole_path)
+    whole_path = identify_path(signals, args.ordering, args.grid)
+    jobs = [(data, ranks, args.ordering, args.grid, args.seed + rep, whole_path)
             for rep in range(args.reps)]
-    results = _pool_map(select_lambda, jobs, _threads(args))
-    structures = [t.decomposition_hat.structure for t in results]
-    mode, count = mode_structure(structures)
+    results = _pool_map(select_lambda, jobs, args.threads)
+    mode, count = mode_structure([t.decomposition_hat.structure for t in results])
 
     os.makedirs(args.out, exist_ok=True)
-    payload = {
+    _write_json(args.out, "tune.json", {
         "repetitions": args.reps,
         "lambda_hat_deg": [math.degrees(t.lambda_hat) for t in results],
         "lambda_tilde_deg": [math.degrees(t.lambda_tilde) for t in results],
         "mode_structure": structure_to_dict(mode),
         "mode_count": count,
-    }
-    with open(os.path.join(args.out, "tune.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    })
     lines = ["rep\tlambda_degrees\trisk\tdissimilarity"]
     lines += [f"{rep}\t{row}" for rep, tuned in enumerate(results)
               for row in _curve_rows(tuned)]
@@ -280,46 +299,24 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _resolve_model(args):
-    model_arg = args.model
-    snr = math.inf if args.snr.lower() in ("inf", "infinity") else float(args.snr)
-    if snr <= 0:
-        raise ConfigError("--snr must be positive or inf")
-    if model_arg in ("joint_strong", "individual_strong"):
-        return imbalanced_preset(model_arg, snr=snr, n=args.n,
-                                 block_size=args.p if args.p else 100)
-    try:
-        model_id = int(model_arg)
-    except ValueError:
-        raise ConfigError(f"unknown model {model_arg!r}")
-    return model_preset(model_id, snr=snr, n=args.n,
-                        block_size=args.p if args.p else 200)
-
-
 def cmd_simulate(args) -> int:
-    if args.reps < 1:
-        raise ConfigError("--reps must be at least 1")
-    model = _resolve_model(args)
-    lam = _angles_config(args)
-    grid = _parse_grid(args.grid) if args.grid else None
-    outcomes = run_repetitions(model, args.reps, args.seed,
-                               angle_threshold=lam, grid=grid,
-                               threads=_threads(args))
+    outcomes = run_repetitions(args.model, args.reps, args.seed,
+                               angle_threshold=args.lam, grid=args.grid,
+                               threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "results.tsv"), "w") as fh:
         fh.write(outcomes_tsv(outcomes))
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        fh.write(summary_json(outcomes) + "\n")
+    _write_json(args.out, "summary.json", summarize(outcomes))
     return 0
 
 
 def cmd_generate(args) -> int:
-    model = _resolve_model(args)
+    model = args.model
     truth = generate(model, args.seed)
     os.makedirs(args.out, exist_ok=True)
     for k, X in enumerate(truth.blocks, start=1):
         _write_csv_matrix(os.path.join(args.out, f"X_{k}.csv"), X)
-    payload = {
+    _write_json(args.out, "truth.json", {
         "model": model.name,
         "snr": "inf" if math.isinf(model.snr) else model.snr,
         "seed": args.seed,
@@ -327,21 +324,36 @@ def cmd_generate(args) -> int:
         "block_sizes": list(model.block_sizes),
         "ranks": list(model.block_ranks()),
         "structure": structure_to_dict(model.structure),
-    }
-    with open(os.path.join(args.out, "truth.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    })
     return 0
 
 
-def _add_data_args(p):
-    p.add_argument("--blocks", nargs="+", required=True, help="CSV files, one per block")
-    p.add_argument("--ranks", help="comma-separated signal ranks, one per block")
-    p.add_argument("--var-prop", type=float,
-                   help="pick the smallest ranks reaching this variance proportion")
-    p.add_argument("--ordering", default="default",
-                   help="'default' or a JSON file with a list of index-sets")
-    p.add_argument("--center", action="store_true", help="apply row centering")
+# Option groups; each subcommand takes the groups listed for it in build_parser.
+_OPTION_GROUPS = {
+    "data": (
+        ("--blocks", dict(nargs="+", required=True, help="CSV files, one per block")),
+        ("--ranks", dict(help="comma-separated signal ranks, one per block")),
+        ("--var-prop", dict(type=float, help="pick the smallest ranks reaching "
+                                             "this variance proportion")),
+        ("--ordering", dict(default="default",
+                            help="'default' or a JSON file with a list of index-sets")),
+        ("--center", dict(action="store_true", help="apply row centering")),
+    ),
+    "model": (
+        ("--model", dict(required=True, help="1..6 or joint_strong | individual_strong")),
+        ("--snr", dict(default="inf", help="signal-to-noise ratio or 'inf'")),
+        ("--n", dict(type=int, default=200, help="samples")),
+        ("--p", dict(type=int, help="variables per block (default: the preset's)")),
+    ),
+    "threshold": (
+        ("--lambda-deg", dict(type=float, help="angle threshold in degrees")),
+        ("--tune", dict(action="store_true", help="select the threshold by data splitting")),
+    ),
+    "grid": (("--grid", dict(help="threshold grid lo:hi:step in degrees")),),
+    "reps": (("--reps", dict(type=int, default=1)),),
+    "threads": (("--threads", dict(type=int, help="processes (env PSI_THREADS)")),),
+    "run": (("--seed", dict(type=int, default=0)), ("--out", dict(required=True))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,59 +362,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Partially-joint decomposition of matched multi-block data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="decompose blocks at a fixed or tuned threshold")
-    _add_data_args(p)
-    p.add_argument("--lambda-deg", type=float, help="angle threshold in degrees")
-    p.add_argument("--tune", action="store_true", help="select the threshold by data splitting")
-    p.add_argument("--grid", help="threshold grid lo:hi:step in degrees")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("tune", help="repeat threshold selection and report the mode structure")
-    _add_data_args(p)
-    p.add_argument("--grid", help="threshold grid lo:hi:step in degrees")
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser("simulate", help="run the benchmark pipeline on synthetic data")
-    p.add_argument("--model", required=True,
-                   help="1..6 or joint_strong | individual_strong")
-    p.add_argument("--snr", default="inf", help="signal-to-noise ratio or 'inf'")
-    p.add_argument("--lambda-deg", type=float)
-    p.add_argument("--tune", action="store_true")
-    p.add_argument("--grid", help="threshold grid lo:hi:step in degrees")
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--p", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("generate", help="write synthetic blocks and their ground truth")
-    p.add_argument("--model", required=True)
-    p.add_argument("--snr", default="inf")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--p", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
-
+    for name, func, help_text, groups in (
+        ("decompose", cmd_decompose, "decompose blocks at a fixed or tuned threshold",
+         ("data", "threshold", "grid", "run")),
+        ("tune", cmd_tune, "repeat threshold selection and report the mode structure",
+         ("data", "grid", "reps", "threads", "run")),
+        ("simulate", cmd_simulate, "run the benchmark pipeline on synthetic data",
+         ("model", "threshold", "grid", "reps", "threads", "run")),
+        ("generate", cmd_generate, "write synthetic blocks and their ground truth",
+         ("model", "run")),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for group in groups:
+            for flag, kwargs in _OPTION_GROUPS[group]:
+                p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "simulate" and args.lambda_deg is None:
-        # tuning is the default pipeline when no fixed threshold is given
-        args.tune = True
+    args = build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -70,10 +70,10 @@ class SignalEstimate:
     rank: int
 
 
-def is_row_centered(X: np.ndarray, rtol: float = CENTERING_RTOL) -> bool:
+def is_row_centered(X: np.ndarray) -> bool:
     means = X.mean(axis=1)
     sds = X.std(axis=1)
-    return bool(np.all(np.abs(means) <= rtol * np.maximum(sds, 0.0)))
+    return bool(np.all(np.abs(means) <= CENTERING_RTOL * np.maximum(sds, 0.0)))
 
 
 def row_center(X: np.ndarray) -> np.ndarray:
@@ -161,7 +161,6 @@ class _Checkpoint:
     n_finished: int
     records: list
     n_records: int
-    lo: float
     hi: float
     gate: tuple | None = None
 
@@ -180,7 +179,7 @@ def _check_signals(signals: Sequence[SignalEstimate], ordering: IndexOrdering) -
 
 def _start(signals: Sequence[SignalEstimate]) -> _Checkpoint:
     work = tuple(np.array(sig.score_basis.columns) for sig in signals)
-    return _Checkpoint(0, work, (), [], 0, [], 0, -1.0, np.inf)
+    return _Checkpoint(0, work, (), [], 0, [], 0, np.inf)
 
 
 def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Checkpoint):
@@ -195,7 +194,7 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
     work = list(cp.work)
     finished = cp.finished[:cp.n_finished]
     records = cp.records[:cp.n_records]
-    lo, hi = cp.lo, cp.hi
+    hi = cp.hi
     gate = cp.gate
     rejected = []
 
@@ -214,32 +213,28 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
                     angles = tuple(float(np.arcsin(_sine(work[i], w))) for i in idx)
                 else:
                     (w, degenerate, angles), gate = gate, None
-                worst = max(angles)
                 if not all(a < angle_threshold for a in angles):
                     rejected.append(_Checkpoint(
                         stage, tuple(work), tuple(claimed), finished, len(finished),
-                        records, len(records), lo, hi, (w, degenerate, angles)))
-                    hi = min(hi, worst)
+                        records, len(records), hi, (w, degenerate, angles)))
+                    hi = min(hi, max(angles))
                     break
                 if any(np.linalg.norm(work[i].T @ w) <= 1e-12 for i in idx):
                     # Nothing to peel: the stage ends as a failed gate would,
                     # whatever the threshold, so neither bound moves.
                     break
-                lo = max(lo, worst)
                 for i in idx:
                     work[i] = _deflate_cols(work[i], w)
                 claimed.append(w)
                 records.append(AcceptanceRecord(subset, angles, degenerate))
-        # A direction shared with a claimed one leaves a residue of up to about
-        # 1e-10 (the Gram-side bases are accurate to that), which must count as
-        # zero: renormalized, it is not orthogonal to the claimed directions.
         for w in claimed:
             for other in range(K):
                 if other not in idx:
-                    work[other] = _complement(work[other], w[:, None], 1e-8)
+                    work[other] = _complement(work[other], w[:, None])
         mat = np.column_stack(claimed) if claimed else np.zeros((n, 0))
         finished.append((subset, OrthonormalBasis(mat)))
 
+    lo = max((max(rec.angles) for rec in records), default=-1.0)
     structure = PartialJointStructure(tuple((s, b.r) for s, b in finished), K)
     result = DecompositionResult(structure, dict(finished), float(angle_threshold),
                                  ordering, tuple(records), (float(lo), float(hi)))
@@ -379,7 +374,7 @@ def _uniqueness_report(exact_bases, ordering: IndexOrdering, tol: float) -> Uniq
         I_l = _span_sum([inter[s] for s in ordering if len(s) > layer], n)
         layer_subspaces[layer] = OrthonormalBasis(I_l)
         level_sets = [s for s in ordering if len(s) == layer]
-        deflated = {s: _complement(inter[s], I_l, 1e-8) for s in level_sets}
+        deflated = {s: _complement(inter[s], I_l) for s in level_sets}
         layer_ok = True
         for s in level_sets:
             D = deflated[s]
@@ -398,7 +393,7 @@ def _uniqueness_report(exact_bases, ordering: IndexOrdering, tol: float) -> Uniq
                 [inter[t] for t in ordering if len(t) > layer and t.intersects(s)], n
             )
             complement_bases[s] = OrthonormalBasis(J)
-            rhs = _complement(inter[s], J, 1e-8)
+            rhs = _complement(inter[s], J)
             diff = D @ D.T - rhs @ rhs.T
             if np.linalg.norm(diff) > ORTHO_CHECK_TOL:
                 rule5_holds = False

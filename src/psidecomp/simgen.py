@@ -5,7 +5,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -375,6 +374,3 @@ def summarize(outcomes: Sequence[RepetitionOutcome]) -> dict:
         "wall_ms": cell([o.wall_ms for o in outcomes]),
     }
 
-
-def summary_json(outcomes: Sequence[RepetitionOutcome]) -> str:
-    return json.dumps(summarize(outcomes), indent=2)

@@ -21,6 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 ORTHONORMAL_TOL = 1e-10  # entrywise tolerance on B^T B - I before a QR re-pass
+TIE_RTOL = 1e-6          # flag-mean singular values this close to the top are tied
+# A direction shared with a claimed one leaves a residue of up to about 1e-10
+# (the Gram-side bases are accurate to that), which must count as zero:
+# renormalized, it is not orthogonal to the claimed directions.
+COMPLEMENT_TOL = 1e-8
 
 
 class NothingToPeel(ValueError):
@@ -181,7 +186,7 @@ def flag_mean_direction(bases) -> UnitDirection:
     return UnitDirection(_flag_mean_refined(blocks)[0])
 
 
-def _flag_mean_refined(blocks, tie_rtol: float = 1e-6):
+def _flag_mean_refined(blocks):
     """Flag mean on raw column blocks with deterministic tie refinement.
 
     When the top singular value of the concatenation is (numerically)
@@ -192,7 +197,7 @@ def _flag_mean_refined(blocks, tie_rtol: float = 1e-6):
     """
     Ht = np.hstack(blocks).T
     s, U = _top_singular(Ht, 1)
-    tied = int(np.sum(s >= s[0] * (1.0 - tie_rtol)))
+    tied = int(np.sum(s >= s[0] * (1.0 - TIE_RTOL)))
     if tied <= 1:
         return _fix_sign(U[:, 0]), False
     _, T = _top_singular(Ht, tied)
@@ -242,11 +247,12 @@ def _deflate_cols(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
     return cols[:, 1:] - (tau * (cols @ v))[:, None] * v[1:]
 
 
-def _complement(cols: np.ndarray, Q: np.ndarray, tol: float) -> np.ndarray:
-    """Left singular vectors, with singular value > tol, of cols projected onto
-    the complement of span(Q): a direction of span(cols) inside span(Q) is
-    dropped, any other only tilts. cols itself when either side is empty."""
+def _complement(cols: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Left singular vectors, with singular value > COMPLEMENT_TOL, of cols
+    projected onto the complement of span(Q): a direction of span(cols) inside
+    span(Q) is dropped, any other only tilts. cols itself when either side is
+    empty."""
     if cols.shape[1] == 0 or Q.shape[1] == 0:
         return cols
     U, s, _ = np.linalg.svd(cols - Q @ (Q.T @ cols), full_matrices=False)
-    return U[:, s > tol]
+    return U[:, s > COMPLEMENT_TOL]

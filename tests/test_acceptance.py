@@ -245,8 +245,8 @@ def test_criterion_5_rse_windows(tuned_main_batches):
 
     The windowed targets presume roughly doubled score-side squared error
     relative to what the implemented reconstruction yields on this generator
-    (a rank-2 truncated SVD already floors model 1 near 0.14); the windows
-    are asserted verbatim regardless.
+    (truncating each block to its rank-2 SVD already floors model 1 at 0.157
+    on these inputs); the windows are asserted verbatim regardless.
     """
     windows = {1: (0.21, 0.27), 2: (0.10, 0.16), 3: (0.13, 0.19)}
     rses = {mid: float(np.mean([o.rse for o in tuned_main_batches[mid]]))

@@ -1,5 +1,10 @@
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,3 +415,71 @@ class TestSimulate:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["accuracy_percent"] == 100.0
+
+
+# (command and flags, message): each error needs no data block to be found
+ARGUMENT_ERRORS = (
+    (["tune", "--ranks", "4,4,4", "--threads", "0"], "--threads must be at least 1"),
+    (["decompose", "--ranks", "4,4,4"], "exactly one of --lambda-deg or --tune is required"),
+    (["decompose", "--ranks", "4,4,4", "--tune", "--grid", "0:95:1"],
+     "--grid values must lie in [0, 90) degrees"),
+    (["decompose", "--ranks", "8,8", "--lambda-deg", "20"],
+     "--ranks needs 3 comma-separated integers"),
+    (["decompose", "--var-prop", "1.5", "--lambda-deg", "20"], "--var-prop must lie in (0, 1]"),
+)
+
+# every option of each subcommand, besides --help
+OPTIONS = {
+    "decompose": {"--blocks", "--ranks", "--var-prop", "--ordering", "--center",
+                  "--lambda-deg", "--tune", "--grid", "--seed", "--out"},
+    "tune": {"--blocks", "--ranks", "--var-prop", "--ordering", "--center",
+             "--grid", "--reps", "--seed", "--threads", "--out"},
+    "simulate": {"--model", "--snr", "--lambda-deg", "--tune", "--grid", "--reps",
+                 "--seed", "--n", "--p", "--threads", "--out"},
+    "generate": {"--model", "--snr", "--seed", "--n", "--p", "--out"},
+}
+
+
+class TestArguments:
+    @pytest.mark.parametrize("argv, message", ARGUMENT_ERRORS)
+    def test_checked_before_any_block_is_read(self, tmp_path, capsys, argv, message):
+        missing = [str(tmp_path / f"missing_{k}.csv") for k in (1, 2, 3)]
+        rng = np.random.default_rng(0)
+        uncentered = []
+        for k in (1, 2, 3):
+            path = tmp_path / f"X_{k}.csv"
+            np.savetxt(path, rng.standard_normal((30, 40)) + 7.0, delimiter=",")
+            uncentered.append(str(path))
+        out = tmp_path / "o"
+        for blocks in (missing, uncentered):
+            code = run_cli(argv[0], "--blocks", *blocks, *argv[1:], "--out", str(out))
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {message}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", (["generate"], ["simulate", "--lambda-deg", "20"]))
+    @pytest.mark.parametrize("flag", ("--p", "--n"))
+    def test_size_below_one_exit_2(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "o"
+        assert run_cli(*command, "--model", "2", flag, "0", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1\n"
+        assert not out.exists()
+
+    def test_p_unset_means_preset_default(self, tmp_path):
+        for model, p in (("2", 200), ("joint_strong", 100)):
+            out = tmp_path / model
+            assert run_cli("generate", "--model", model, "--n", "60", "--out", str(out)) == 0
+            truth = json.loads((out / "truth.json").read_text())
+            assert set(truth["block_sizes"]) == {p}
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_help_lists_each_option(self, command):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "psidecomp.cli", command, "--help"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", proc.stdout)) == (
+            OPTIONS[command] | {"--help"})

@@ -208,16 +208,35 @@ class TestSelectLambda:
         assert structures_equal(res.decomposition_hat.structure, model.structure)
 
     def test_risk_at_zero_equals_individual_model_risk(self):
-        model = model_preset(2, snr=10.0, n=50, block_size=40)
-        truth = generate(model, seed=5)
-        grid = np.deg2rad([0.0, 30.0])
-        res = select_lambda(truth.dataset(), model.block_ranks(), model.ordering,
-                            grid, seed=5)
-        lam0, risk0 = res.risk_curve[0]
-        assert lam0 == 0.0
-        # at lambda = 0 the training structure is all-individual
-        train_at_zero = res.risk_curve[0][1]
-        assert train_at_zero > 0.0
+        # at lambda = 0 no gate passes, so the training fit is all-individual:
+        # refit that model with numpy alone, without identify or estimate_loadings
+        for model_id, seed in ((2, 5), (6, 3), (3, 11)):
+            model = model_preset(model_id, snr=10.0, n=50, block_size=40)
+            data = generate(model, seed=seed).dataset()
+            res = select_lambda(data, model.block_ranks(), model.ordering,
+                                np.deg2rad([0.0, 30.0]), seed=seed)
+            lam0, risk0 = res.risk_curve[0]
+            assert lam0 == 0.0
+
+            plan = split(data.n, seed)
+            train = [X[:, list(plan.train)] for X in data.blocks]
+            test = [X[:, list(plan.test)] for X in data.blocks]
+            loadings, claimed = [None] * data.K, np.zeros((len(plan.train), 0))
+            for (k,) in (s.members for s in model.ordering if len(s) == 1):
+                r = model.block_ranks()[k - 1]
+                V = np.linalg.svd(train[k - 1])[2][:r].T
+                Zhat = train[k - 1] @ V @ V.T
+                U, s, _ = np.linalg.svd(V - claimed @ (claimed.T @ V),
+                                        full_matrices=False)
+                W_k = U[:, s > 1e-8]
+                loadings[k - 1] = Zhat @ W_k
+                claimed = np.hstack([claimed, W_k])
+            U_stack = scipy.linalg.block_diag(*loadings)
+            W_test, _ = procrustes_scores(np.vstack(test), U_stack)
+            rows = np.cumsum([0] + [X.shape[0] for X in test])
+            expected = empirical_risk(
+                test, [U_stack[a:b] for a, b in zip(rows[:-1], rows[1:])], W_test)
+            assert risk0 == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_deterministic(self):
         model = model_preset(3, snr=15.0, n=50, block_size=40)

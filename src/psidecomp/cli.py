@@ -142,8 +142,11 @@ def _resolve_model(args):
     for flag, value in (("--n", args.n), ("--p", args.p)):
         if value is not None and value < 1:
             raise ConfigError(f"{flag} must be at least 1")
-    snr = math.inf if args.snr.lower() in ("inf", "infinity") else float(args.snr)
-    if snr <= 0:
+    try:
+        snr = float(args.snr)  # also parses "inf" and "infinity", in any case
+    except ValueError:
+        snr = math.nan
+    if not snr > 0:
         raise ConfigError("--snr must be positive or inf")
     if args.model in ("joint_strong", "individual_strong"):
         return imbalanced_preset(args.model, snr=snr, n=args.n,
@@ -261,15 +264,9 @@ def cmd_decompose(args) -> int:
     _write_csv_matrix(os.path.join(args.out, "scores.csv"), W,
                       header=",".join(s.label() for s in labels))
     for k in range(1, data.K + 1):
-        cols, names = [], []
-        for subset, r in result.structure.entries:
-            if r > 0 and k in subset and (k, subset) in loads.blocks:
-                U = loads.blocks[(k, subset)]
-                cols.append(U)
-                names.extend([subset.label()] * U.shape[1])
-        mat = np.hstack(cols) if cols else np.zeros((data.blocks[k - 1].shape[0], 0))
-        _write_csv_matrix(os.path.join(args.out, f"loadings_{k}.csv"), mat,
-                          header=",".join(names))
+        _, labels = result.stacked_scores(k)
+        _write_csv_matrix(os.path.join(args.out, f"loadings_{k}.csv"),
+                          loads.aligned(k, labels), header=",".join(s.label() for s in labels))
     _write_json(args.out, "diagnostics.json", _diagnostics_payload(result))
     return 0
 

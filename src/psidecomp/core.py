@@ -127,18 +127,18 @@ class DecompositionResult:
     # candidates (-1 if none), hi the smallest among rejected ones (inf if none).
     stable_interval: tuple[float, float] = (-1.0, np.inf)
 
-    def stacked_scores(self):
-        """(n x r_total score matrix, per-column index-set labels)."""
+    def stacked_scores(self, block: int | None = None):
+        """(n x r score matrix, per-column index-set labels).
+
+        The column layout of scores and loadings: the bases of the
+        positive-rank index-sets in ordering order, all of them, or only those
+        containing ``block`` (W_(k) for block k = ``block``).
+        """
         n = next(iter(self.scores.values())).n
-        cols, labels = [], []
-        for subset, _ in self.structure.entries:
-            basis = self.scores[subset]
-            for j in range(basis.r):
-                cols.append(basis.columns[:, j])
-                labels.append(subset)
-        if not cols:
-            return np.zeros((n, 0)), []
-        return np.column_stack(cols), labels
+        sets = [s for s, r in self.structure.entries
+                if r > 0 and (block is None or block in s)]
+        labels = [s for s in sets for _ in range(self.scores[s].r)]
+        return np.hstack([np.zeros((n, 0))] + [self.scores[s].columns for s in sets]), labels
 
 
 @dataclass(frozen=True, eq=False)

@@ -244,32 +244,17 @@ def metric_angles(truth: GroundTruth, loadings: LoadingSet, result) -> tuple[flo
     compared with the column space of all estimated scores. Empty estimates
     count as 90 degrees.
     """
-    K = truth.model.K
-    est_loading_spans = {}
-    for k in range(1, K + 1):
-        cols = [loadings.blocks[(k, s)] for s, r in result.structure.entries
-                if r > 0 and k in s and (k, s) in loadings.blocks]
-        est_loading_spans[k] = (
-            orthonormalize(np.hstack(cols), 1e-10) if cols else None
-        )
-    W_stack, _ = result.stacked_scores()
-    est_score_span = orthonormalize(W_stack, 1e-10) if W_stack.shape[1] else None
+    est_loading_spans = {
+        k: orthonormalize(loadings.aligned(k, result.stacked_scores(k)[1]), 1e-10)
+        for k in range(1, truth.model.K + 1)}
+    est_score_span = orthonormalize(result.stacked_scores()[0], 1e-10)
 
-    u_angles = []
-    for (k, subset), U in truth.loadings.items():
-        for j in range(U.shape[1]):
-            span = est_loading_spans[k]
-            if span is None or span.r == 0:
-                u_angles.append(np.pi / 2)
-            else:
-                u_angles.append(principal_angle(UnitDirection(U[:, j]), span))
-    w_angles = []
-    for subset, W in truth.scores.items():
-        for j in range(W.shape[1]):
-            if est_score_span is None or est_score_span.r == 0:
-                w_angles.append(np.pi / 2)
-            else:
-                w_angles.append(principal_angle(UnitDirection(W[:, j]), est_score_span))
+    def angle(v, span):
+        return principal_angle(UnitDirection(v), span) if span.r else np.pi / 2
+
+    u_angles = [angle(u, est_loading_spans[k])
+                for (k, _), U in truth.loadings.items() for u in U.T]
+    w_angles = [angle(w, est_score_span) for W in truth.scores.values() for w in W.T]
     return (float(np.degrees(np.mean(u_angles))),
             float(np.degrees(np.mean(w_angles))))
 

@@ -21,6 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 ORTHONORMAL_TOL = 1e-10  # entrywise tolerance on B^T B - I before a QR re-pass
+# _top_singular keeps V = X^T U / s only when V^T V is this close to I. Well
+# below ORTHONORMAL_TOL: scores built from V must meet that bound, and a V
+# accepted at it left stacked scores 1.06e-10 off orthonormal.
+DIVISION_TOL = 1e-14
 TIE_RTOL = 1e-6          # flag-mean singular values this close to the top are tied
 # A direction shared with a claimed one leaves a residue of up to about 1e-10
 # (the Gram-side bases are accurate to that), which must count as zero:
@@ -45,9 +49,9 @@ def _top_singular(X: np.ndarray, k: int):
     Eigensolves the Gram matrix on the smaller side of X. When n <= p the
     eigenvectors of X^T X are the right singular vectors. Otherwise the
     eigenvectors U of X X^T are the left ones, mapped by V = X^T U / s. Where
-    that division loses orthonormality (s near or past the numerical rank),
-    V is re-orthonormalized by a QR of X^T U instead, which keeps the leading
-    directions and completes the basis past the rank.
+    that division loses orthonormality beyond DIVISION_TOL (s near or past the
+    numerical rank), V is re-orthonormalized by a QR of X^T U instead, which
+    keeps the leading directions and completes the basis past the rank.
     """
     p, n = X.shape
     wide = n > p
@@ -59,7 +63,7 @@ def _top_singular(X: np.ndarray, k: int):
     XtU = X.T @ top
     if s[k - 1] > 0.0:
         V = XtU / s[:k]
-        if np.max(np.abs(V.T @ V - np.eye(k))) <= ORTHONORMAL_TOL:
+        if np.max(np.abs(V.T @ V - np.eye(k))) <= DIVISION_TOL:
             return s, V
     return s, np.linalg.qr(XtU)[0]
 

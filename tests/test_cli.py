@@ -466,6 +466,13 @@ class TestArguments:
         assert capsys.readouterr().err == f"error: {flag} must be at least 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr", ("abc", "nan"))
+    def test_snr_not_positive_number_exit_2(self, tmp_path, capsys, snr):
+        out = tmp_path / "o"
+        assert run_cli("generate", "--model", "2", "--snr", snr, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: --snr must be positive or inf\n"
+        assert not out.exists()
+
     def test_p_unset_means_preset_default(self, tmp_path):
         for model, p in (("2", 200), ("joint_strong", 100)):
             out = tmp_path / model
@@ -483,3 +490,27 @@ class TestArguments:
         assert proc.returncode == 0, proc.stderr
         assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", proc.stdout)) == (
             OPTIONS[command] | {"--help"})
+
+
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_cli("generate", "--model", "6", "--snr", "15", "--seed", "2000",
+                       "--out", str(data)) == 0
+        blocks = [str(data / f"X_{k}.csv") for k in (1, 2, 3)]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        written = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            out = tmp_path / f"blas{threads}"
+            for argv in (["tune", "--reps", "3", "--threads", "1"], ["decompose", "--tune"]):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "psidecomp.cli", *argv, "--blocks", *blocks,
+                     "--ranks", "8,8,8", "--out", str(out / argv[0])],
+                    env=env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+            written[threads] = {p.relative_to(out): p.read_bytes()
+                                for p in sorted(out.rglob("*")) if p.is_file()}
+        assert len(written["1"]) == 8
+        assert written["1"] == written["2"]

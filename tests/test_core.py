@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from psidecomp import (
+    DecompositionResult,
     IndexSet,
     OrthonormalBasis,
+    PartialJointStructure,
     SignalEstimate,
     check_absolute_orthogonality,
     check_relative_independence,
@@ -267,6 +269,8 @@ class TestIdentifyProperties:
            noise=st.sampled_from([0.0, 0.01, 0.1]), lam=st.floats(0.0, 1.5))
     # ranks 3,3,3,2 in n = 6: a shared direction leaves a 1.5e-10 residue
     @example(seed=9, K=4, n=6, noise=0.0, lam=0.0)
+    # a flag mean whose V = X^T U / s was 1e-10 off orthonormal read 1.06e-10 here
+    @example(seed=4088216822, K=3, n=11, noise=0.01, lam=0.0)
     def test_invariants_on_random_blocks(self, seed, K, n, noise, lam):
         signals, ranks = random_shared_signals(seed, K, n, noise)
         res = identify(signals, default_ordering(K), lam)
@@ -278,6 +282,18 @@ class TestIdentifyProperties:
         assert all(a < lam for a in angles)
         assert res.stable_interval[0] == max(
             (max(rec.angles) for rec in res.diagnostics), default=-1.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 4), n=st.integers(6, 14),
+           noise=st.sampled_from([0.01, 0.1]), lam=st.floats(0.0, 1.5))
+    def test_block_ranks_are_kept_in_general_position(self, seed, K, n, noise, lam):
+        # noisy bases with room for all of them: no complement projection drops
+        # a dimension. Centered rows put every basis in the n - 1 dimensions
+        # orthogonal to the all-ones vector, so the room is n - 1, not n.
+        signals, ranks = random_shared_signals(seed, K, n, noise)
+        assume(sum(ranks) <= n - 1)
+        res = identify(signals, default_ordering(K), lam)
+        assert [res.structure.block_rank(k) for k in range(1, K + 1)] == ranks
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 4), n=st.integers(6, 14),
@@ -293,6 +309,33 @@ class TestIdentifyProperties:
                 assert res.stacked_scores()[0].tobytes() == fresh.stacked_scores()[0].tobytes()
                 assert res.diagnostics == fresh.diagnostics
                 assert res.stable_interval == fresh.stable_interval
+
+
+class TestStackedScores:
+    def test_block_columns_follow_the_ordering(self):
+        model = model_preset(6, snr=15.0, n=40, block_size=30)
+        truth = generate(model, 3)
+        signals = [extract_signal(X, r, check_centering=False)
+                   for X, r in zip(truth.blocks, model.block_ranks())]
+        res = identify(signals, model.ordering, np.deg2rad(40.0))
+        for block in (None, 1, 2, 3):
+            members = [s for s in model.ordering if res.structure.rank_of(s) > 0
+                       and (block is None or block in s)]
+            W, labels = res.stacked_scores(block)
+            assert labels == [s for s in members for _ in range(res.scores[s].r)]
+            assert W.tobytes() == np.hstack([res.scores[s].columns for s in members]).tobytes()
+
+    def test_block_without_positive_rank_set_is_empty(self):
+        structure = PartialJointStructure(
+            ((IndexSet.of(1, 2), 0), (IndexSet.of(1), 1), (IndexSet.of(2), 0)), 2)
+        scores = {IndexSet.of(1, 2): OrthonormalBasis(np.zeros((5, 0))),
+                  IndexSet.of(1): OrthonormalBasis(np.eye(5)[:, :1]),
+                  IndexSet.of(2): OrthonormalBasis(np.zeros((5, 0)))}
+        res = DecompositionResult(structure, scores, 0.1, default_ordering(2))
+        W, labels = res.stacked_scores(2)
+        assert W.shape == (5, 0) and labels == []
+        W, labels = res.stacked_scores()
+        assert W.shape == (5, 1) and labels == [IndexSet.of(1)]
 
 
 class TestUniquenessChecks:

@@ -143,6 +143,15 @@ class TestStackedLoadings:
                     assert np.all(rows == 0.0)
             col += r
 
+    def test_missing_loading_block_gives_zero_columns(self):
+        model, truth, signals, result, loads = fitted_pipeline(3, seed=19)
+        _, labels = result.stacked_scores(1)
+        kept = {key: U for key, U in loads.blocks.items() if key[1] != labels[0]}
+        U = type(loads)(blocks=kept, block_sizes=loads.block_sizes).aligned(1, labels)
+        missing = np.array([s == labels[0] for s in labels])
+        assert np.all(U[:, missing] == 0.0)
+        assert np.array_equal(U[:, ~missing], loads.aligned(1, labels)[:, ~missing])
+
     def test_columns_align_with_stacked_scores(self):
         model, truth, signals, result, loads = fitted_pipeline(5, seed=21)
         U = stacked_loadings(loads, result)

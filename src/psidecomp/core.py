@@ -19,7 +19,7 @@ from .subspace import (
     _fix_sign,
     _flag_mean_refined,
     _sine,
-    _top_singular,
+    _top_right_vectors,
     orthonormalize,
 )
 
@@ -84,9 +84,10 @@ def extract_signal(X: np.ndarray, rank: int, check_centering: bool = True) -> Si
     """Rank-r signal estimate of one block via truncated SVD.
 
     The score basis holds the top right singular vectors (sample-space
-    directions), sign-fixed, taken from the Gram matrix on the block's
-    smaller side; the estimate is X projected onto them. Rows are expected to
-    be centered; a violation triggers a warning, not an error.
+    directions), sign-fixed, taken from the top eigenvectors of the Gram
+    matrix on the block's smaller side; the estimate is X projected onto
+    them. Rows are expected to be centered; a violation triggers a warning,
+    not an error.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -98,7 +99,7 @@ def extract_signal(X: np.ndarray, rank: int, check_centering: bool = True) -> Si
         raise ValueError(f"rank {rank} outside [1, {min(p, n)}]")
     if check_centering and not is_row_centered(X):
         warnings.warn("block rows are not centered; results assume row-centered data")
-    _, V = _top_singular(X, rank)
+    V = _top_right_vectors(X, rank)
     basis = np.column_stack([_fix_sign(v) for v in V.T])
     zhat = (X @ basis) @ basis.T
     return SignalEstimate(zhat=zhat, score_basis=OrthonormalBasis(basis), rank=rank)

@@ -14,7 +14,11 @@ from typing import Iterable
 # multiset of K-length 0/1 tuples, one copy per latent component
 BinaryMultiset = Counter
 
-MAX_BLOCKS = 16  # combinatorial guard: orderings enumerate 2^K - 1 subsets
+# Orderings enumerate 2^K - 1 subsets, and identify's work grows with them:
+# one identify at 20 degrees (n 100, p 60, rank 4 per block, BLAS at 1
+# thread) took 0.95 s at K = 12 and 2.7 s at K = 13, one identify_path 7.2 s
+# and 20 s, and a tuned fit runs two paths.
+MAX_BLOCKS = 12
 
 
 @dataclass(frozen=True, order=True)
@@ -67,7 +71,7 @@ class IndexOrdering:
     def __post_init__(self):
         K = int(self.K)
         if not 1 <= K <= MAX_BLOCKS:
-            raise ValueError(f"K must be between 1 and {MAX_BLOCKS}")
+            raise ValueError(f"the number of blocks K must be between 1 and {MAX_BLOCKS}")
         sets = tuple(self.sets)
         if len(sets) != 2**K - 1:
             raise ValueError(f"an ordering for K={K} needs {2**K - 1} index-sets")
@@ -93,7 +97,7 @@ class IndexOrdering:
 def default_ordering(K: int) -> IndexOrdering:
     """Every nonempty subset of {1,..,K}: sizes descending, lexicographic within a size."""
     if not 1 <= K <= MAX_BLOCKS:
-        raise ValueError(f"K must be between 1 and {MAX_BLOCKS}")
+        raise ValueError(f"the number of blocks K must be between 1 and {MAX_BLOCKS}")
     sets = []
     for size in range(K, 0, -1):
         for combo in combinations(range(1, K + 1), size):

@@ -12,6 +12,12 @@
 #   (nearly) inside span(B), as sqrt(1 - ||B^T w||^2) does.
 # - Singular/eigen vectors are sign-fixed: the entry of largest magnitude is
 #   made positive, ties broken by lowest index.
+# - A block's score basis needs only the top r eigenvectors of its Gram
+#   matrix, which _top_eigvecs finds by Chebyshev-filtered subspace iteration
+#   (Zhou & Saad 2007), falling back to a full eigh where it cannot vouch for
+#   its answer. The flag mean keeps the full eigh: its Gram is only as large
+#   as the participants' summed ranks, and its tie rule reads every singular
+#   value.
 
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ORTHONORMAL_TOL = 1e-10  # entrywise tolerance on B^T B - I before a QR re-pass
-# _top_singular keeps V = X^T U / s only when V^T V is this close to I. Well
+# _right_vectors keeps V = X^T U / s only when V^T V is this close to I. Well
 # below ORTHONORMAL_TOL: scores built from V must meet that bound, and a V
 # accepted at it left stacked scores 1.06e-10 off orthonormal.
 DIVISION_TOL = 1e-14
@@ -30,6 +36,21 @@ TIE_RTOL = 1e-6          # flag-mean singular values this close to the top are t
 # (the Gram-side bases are accurate to that), which must count as zero:
 # renormalized, it is not orthogonal to the claimed directions.
 COMPLEMENT_TOL = 1e-8
+# _top_eigvecs iterates a block of m = k + max(k, 4) vectors, and only for
+# n >= max(CHEB_MIN_N, CHEB_MIN_RATIO * m): below that a full eigh was faster
+# (2 cores, BLAS at 1 thread, k 1-12, n 32-200). A sweep is a Rayleigh-Ritz
+# step, then a Chebyshev filter of degree CHEB_DEGREE. It stops when every
+# wanted residual ||G y - theta y|| is at most CHEB_RES_RTOL * theta_1, and
+# keeps the answer only if theta_k - theta_{k+1} > CHEB_GAP_RTOL * theta_1.
+# A theta_m at or below CHEB_NULL_RTOL * theta_1 means G's rank is below m.
+CHEB_MIN_N = 64
+CHEB_MIN_RATIO = 5
+CHEB_DEGREE = 8
+CHEB_MAX_SWEEPS = 12
+CHEB_RES_RTOL = 1e-13
+CHEB_GAP_RTOL = 1e-3
+CHEB_NULL_RTOL = 1e-12
+CHEB_SEED = 0  # fixed start block, so the result is deterministic
 
 
 class NothingToPeel(ValueError):
@@ -42,30 +63,95 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0 else v
 
 
+def _gram(X: np.ndarray):
+    """The Gram matrix on the smaller side of a p x n matrix X, and whether
+    that side is the wide one (X X^T, for n > p) rather than X^T X."""
+    wide = X.shape[1] > X.shape[0]
+    return (X @ X.T if wide else X.T @ X), wide
+
+
+def _right_vectors(X: np.ndarray, wide: bool, s: np.ndarray, U: np.ndarray):
+    """Right singular vectors of X from the top k eigenvectors U of its Gram
+    matrix and the matching singular values s (length k).
+
+    On the tall side U already holds them. On the wide side U holds the left
+    ones, mapped by V = X^T U / s. Where that division loses orthonormality
+    beyond DIVISION_TOL (s near or past the numerical rank), V is
+    re-orthonormalized by a QR of X^T U instead, which keeps the leading
+    directions and completes the basis past the rank.
+    """
+    if not wide:
+        return U
+    XtU = X.T @ U
+    if s[-1] > 0.0:
+        V = XtU / s
+        if np.max(np.abs(V.T @ V - np.eye(s.size))) <= DIVISION_TOL:
+            return V
+    return np.linalg.qr(XtU)[0]
+
+
 def _top_singular(X: np.ndarray, k: int):
     """All singular values of a p x n matrix X, largest first, and its top k
-    right singular vectors (n x k, orthonormal, signs unfixed).
-
-    Eigensolves the Gram matrix on the smaller side of X. When n <= p the
-    eigenvectors of X^T X are the right singular vectors. Otherwise the
-    eigenvectors U of X X^T are the left ones, mapped by V = X^T U / s. Where
-    that division loses orthonormality beyond DIVISION_TOL (s near or past the
-    numerical rank), V is re-orthonormalized by a QR of X^T U instead, which
-    keeps the leading directions and completes the basis past the rank.
-    """
-    p, n = X.shape
-    wide = n > p
-    vals, vecs = np.linalg.eigh(X @ X.T if wide else X.T @ X)
+    right singular vectors (n x k, orthonormal, signs unfixed), from a full
+    eigensolve of the Gram matrix on the smaller side of X."""
+    G, wide = _gram(X)
+    vals, vecs = np.linalg.eigh(G)
     s = np.sqrt(np.maximum(vals[::-1], 0.0))
-    top = vecs[:, ::-1][:, :k]
-    if not wide:
-        return s, top
-    XtU = X.T @ top
-    if s[k - 1] > 0.0:
-        V = XtU / s[:k]
-        if np.max(np.abs(V.T @ V - np.eye(k))) <= DIVISION_TOL:
-            return s, V
-    return s, np.linalg.qr(XtU)[0]
+    return s, _right_vectors(X, wide, s[:k], vecs[:, ::-1][:, :k])
+
+
+def _top_right_vectors(X: np.ndarray, k: int) -> np.ndarray:
+    """The top k right singular vectors of X (n x k, orthonormal, signs
+    unfixed), from the top k eigenpairs of its smaller Gram matrix."""
+    G, wide = _gram(X)
+    theta, U = _top_eigvecs(G, k)
+    return _right_vectors(X, wide, np.sqrt(np.maximum(theta, 0.0)), U)
+
+
+def _top_eigvecs(G: np.ndarray, k: int):
+    """Top k eigenvalues (descending) and eigenvectors of a symmetric positive
+    semidefinite n x n matrix G, by Chebyshev-filtered subspace iteration;
+    np.linalg.eigh of G where the iteration would not pay or cannot vouch
+    for its answer (see the CHEB_* constants).
+    """
+    n = G.shape[0]
+    m = k + max(k, 4)
+    if n >= max(CHEB_MIN_N, CHEB_MIN_RATIO * m):
+        Y = np.linalg.qr(G @ np.random.default_rng(CHEB_SEED).standard_normal((n, m)))[0]
+        for _ in range(CHEB_MAX_SWEEPS):
+            GY = G @ Y
+            theta, Z = np.linalg.eigh(Y.T @ GY)
+            theta, Z = theta[::-1], Z[:, ::-1]
+            Y, GY = Y @ Z, GY @ Z
+            t1, tm = theta[0], theta[-1]
+            if not tm > CHEB_NULL_RTOL * t1:  # also catches an all-zero G
+                break
+            R = GY[:, :k] - Y[:, :k] * theta[:k]
+            if np.max(np.sum(R * R, axis=0)) <= (CHEB_RES_RTOL * t1) ** 2:
+                if theta[k - 1] - theta[k] > CHEB_GAP_RTOL * t1:
+                    return theta[:k], Y[:, :k]
+                break
+            Y = np.linalg.qr(_chebyshev_filter(G, Y, GY, tm, t1))[0]
+    vals, vecs = np.linalg.eigh(G)
+    return vals[::-1][:k], vecs[:, ::-1][:, :k]
+
+
+def _chebyshev_filter(G, Y, GY, b, a0):
+    """p(G) Y for p(t) = T_d((t - c) / e) / T_d((a0 - c) / e), the degree
+    d = CHEB_DEGREE Chebyshev polynomial of [0, b] (c = e = b / 2), scaled to
+    1 at a0 >= b > 0, by the scaled three-term recurrence of Zhou & Saad
+    (2007, Algorithm 3.2); GY = G Y is passed in. |p| <= 1 on [0, a0], so
+    the iterates keep the size of Y while [0, b] is damped.
+    """
+    e = c = b / 2.0
+    sigma = e / (a0 - c)
+    tau = 2.0 / sigma
+    prev, cur = Y, (GY - c * Y) * (sigma / e)
+    for _ in range(1, CHEB_DEGREE):
+        sigma_next = 1.0 / (tau - sigma)
+        nxt = (G @ cur - c * cur) * (2.0 * sigma_next / e) - (sigma * sigma_next) * prev
+        prev, cur, sigma = cur, nxt, sigma_next
+    return cur
 
 
 @dataclass(frozen=True, eq=False)

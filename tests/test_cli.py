@@ -361,6 +361,29 @@ class TestDegenerateBlocks:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", (["decompose", "--lambda-deg", "20"],
+                                         ["decompose", "--tune"],
+                                         ["tune", "--reps", "2", "--threads", "1"]))
+    @pytest.mark.parametrize("center", ([], ["--center"]))
+    def test_constant_rows_run(self, tmp_path, capsys, command, center):
+        # 5 rows of 7.7 and 3 zero rows per block: zero rows after centering,
+        # but the rest of each block still carries signal
+        rng = np.random.default_rng(4)
+        blocks = []
+        for k in (1, 2, 3):
+            X = rng.standard_normal((30, 40))
+            rows = rng.permutation(30)
+            X[rows[:5]] = 7.7
+            X[rows[5:8]] = 0.0
+            blocks.append(str(tmp_path / f"X_{k}.csv"))
+            np.savetxt(blocks[-1], X, delimiter=",")
+        code = run_cli(*command, "--blocks", *blocks, "--ranks", "3,3,3", *center,
+                       "--out", str(tmp_path / "o"))
+        assert code == 0
+        warned = "".join(f"warning: block {k} rows are not centered "
+                         "(use --center to apply row centering)\n" for k in (1, 2, 3))
+        assert capsys.readouterr().err == ("" if center else warned)
+
     @pytest.mark.parametrize("command", DATA_COMMANDS)
     def test_duplicated_block_runs(self, generated, tmp_path, command):
         blocks = [str(generated / f"X_{k}.csv") for k in (1, 2, 1)]
@@ -457,6 +480,17 @@ class TestArguments:
             err = capsys.readouterr().err
             assert err == f"error: {message}\n"
             assert not out.exists()
+
+    def test_too_many_blocks_exit_2(self, tmp_path, capsys):
+        # the paths do not exist, so the K message shows that none was read
+        missing = [str(tmp_path / f"missing_{k}.csv") for k in range(1, 14)]
+        out = tmp_path / "o"
+        code = run_cli("decompose", "--blocks", *missing, "--ranks", ",".join(["2"] * 13),
+                       "--lambda-deg", "20", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the number of blocks K must be between 1 and 12\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", (["generate"], ["simulate", "--lambda-deg", "20"]))
     @pytest.mark.parametrize("flag", ("--p", "--n"))

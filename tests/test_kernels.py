@@ -1,10 +1,14 @@
 """Gram-side kernels of subspace.py against dense LAPACK oracles.
 
-extract_signal takes its score basis from an eigensolve of the Gram matrix on
-the block's smaller side, the flag mean from the m x m Gram matrix of the
-stacked bases, and deflation writes its Householder reflector in closed form.
-Each is checked here against the full SVD or QR it replaces.
+extract_signal takes its score basis from the top eigenvectors of the Gram
+matrix on the block's smaller side, found by Chebyshev-filtered subspace
+iteration with a full eigh as fallback; the flag mean comes from a full eigh
+of the m x m Gram matrix of the stacked bases, and deflation writes its
+Householder reflector in closed form. Each is checked here against the full
+SVD, eigh or QR it replaces.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -12,22 +16,44 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psidecomp import extract_signal, flag_mean_direction
+from psidecomp.simgen import generate, model_preset
 from psidecomp.subspace import (
+    CHEB_MIN_N,
     OrthonormalBasis,
     _deflate_cols,
     _fix_sign,
     _flag_mean_refined,
+    _top_eigvecs,
     orthonormalize,
 )
+from psidecomp.tuning import split
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
-# (p, n) shapes: tall (n < p), square and wide (n > p)
+# (p, n) shapes: tall (n < p), square and wide (n > p). The smaller side is
+# either below 64, where a full eigh runs, or 64-120, where small ranks reach
+# the partial eigensolver.
 shapes = st.sampled_from(["tall", "square", "wide"]).flatmap(
-    lambda kind: st.tuples(st.integers(2, 30), st.integers(0, 20)).map(
+    lambda kind: st.tuples(st.one_of(st.integers(2, 30), st.integers(64, 120)),
+                           st.integers(0, 40)).map(
         lambda t: {"tall": (t[0] + t[1], t[0]),
                    "square": (t[0], t[0]),
                    "wide": (t[0], t[0] + t[1])}[kind]))
+
+
+@contextmanager
+def full_eigh_sizes():
+    """Record the order of every np.linalg.eigh call made inside the block."""
+    sizes = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return real(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", counted)
+        yield sizes
 
 
 def assert_orthonormal(V, atol=1e-10):
@@ -40,7 +66,8 @@ class TestExtractSignalAgainstSvd:
     @given(shape=shapes, seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_projector_and_residual_match_svd(self, shape, seed, data):
         p, n = shape
-        rank = data.draw(st.integers(1, min(p, n)))
+        # small ranks too, so that large blocks reach the partial eigensolver
+        rank = data.draw(st.one_of(st.integers(1, min(p, n)), st.integers(1, min(p, n, 10))))
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((p, n)) * 10.0 ** rng.uniform(-3, 3)
         _, s, Vt = np.linalg.svd(X, full_matrices=False)
@@ -87,6 +114,95 @@ class TestExtractSignalAgainstSvd:
                                check_centering=False).score_basis.columns
             for v in V.T:
                 assert np.array_equal(v, _fix_sign(v))
+
+
+def planted_gram(rng, n, k, gap, scale):
+    """Q diag(lam) Q^T with lam_k / lam_{k+1} = gap: the top k eigenvalues in
+    [gap, 3 gap], the other n - k in [0, 1] with 1 among them."""
+    top = gap * (1.0 + 2.0 * rng.random(k))
+    top[0] = gap
+    rest = rng.random(n - k)
+    rest[0] = 1.0
+    return spectral_gram(rng, scale * np.concatenate([top, rest]))
+
+
+def spectral_gram(rng, lam):
+    """A symmetric matrix with eigenvalues lam and random eigenvectors."""
+    Q = np.linalg.qr(rng.standard_normal((lam.size, lam.size)))[0]
+    G = (Q * lam) @ Q.T
+    return (G + G.T) / 2.0
+
+
+def assert_matches_eigh(G, k, theta, U):
+    vals, vecs = np.linalg.eigh(G)
+    top = vecs[:, ::-1][:, :k]
+    assert U.shape == (G.shape[0], k)
+    assert_orthonormal(U)
+    assert np.max(np.abs(U @ U.T - top @ top.T)) <= 1e-10
+    assert np.allclose(theta, vals[::-1][:k], rtol=1e-10, atol=0.0)
+
+
+class TestPartialEigensolver:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 250), k=st.integers(1, 12),
+           gap=st.floats(1.05, 3.0), log_scale=st.floats(-3.0, 3.0))
+    def test_matches_eigh_on_planted_spectra(self, seed, n, k, gap, log_scale):
+        assume(k < n)
+        G = planted_gram(np.random.default_rng(seed), n, k, gap, 10.0 ** log_scale)
+        theta, U = _top_eigvecs(G, k)
+        assert_matches_eigh(G, k, theta, U)
+
+    def test_planted_spectra_take_the_partial_path(self):
+        # without this, an eigensolver that always falls back passes the test above
+        rng = np.random.default_rng(7)
+        for n, k, gap in ((64, 1, 1.05), (100, 4, 1.2), (200, 8, 1.4), (250, 12, 3.0)):
+            G = planted_gram(rng, n, k, gap, 1e3)
+            with full_eigh_sizes() as sizes:
+                theta, U = _top_eigvecs(G, k)
+            assert sizes and n not in sizes
+            assert_matches_eigh(G, k, theta, U)
+
+    @pytest.mark.parametrize("case", ["rank_deficient", "zero", "tied", "block_not_below_n"])
+    def test_falls_back_to_full_eigh(self, case):
+        rng = np.random.default_rng(11)
+        n, k = 120, 4
+        if case == "rank_deficient":  # rank 6, below the block size 8
+            A = rng.standard_normal((n, 6))
+            G = A @ A.T
+        elif case == "zero":
+            G = np.zeros((n, n))
+        elif case == "tied":  # lam_k = lam_{k+1}, the rest far below
+            G = spectral_gram(rng, np.concatenate([[3.0, 2.5, 2.0, 1.0, 1.0],
+                                                   0.3 * rng.random(n - 5)]))
+        else:  # block size 24 >= n
+            n, k = 20, 12
+            G = planted_gram(rng, n, k, 2.0, 1.0)
+        assert n >= CHEB_MIN_N or case == "block_not_below_n"
+        with full_eigh_sizes() as sizes:
+            theta, U = _top_eigvecs(G, k)
+        assert sizes[-1] == n
+        vals, vecs = np.linalg.eigh(G)
+        assert np.array_equal(theta, vals[::-1][:k])
+        assert np.array_equal(U, vecs[:, ::-1][:, :k])
+        assert_orthonormal(U)
+
+    @pytest.mark.parametrize("view", ["whole", "half", "half transposed"])
+    def test_model_6_signals_use_no_full_eigh(self, view):
+        # 200 x 200 blocks, their 200 x 100 training halves, and those halves
+        # transposed to 100 x 200, which take the wide side's X^T u / s map
+        model = model_preset(6, snr=15, n=200, block_size=200)
+        blocks = generate(model, 2000).blocks
+        if view != "whole":
+            train = list(split(200, 0).train)
+            blocks = [X[:, train] for X in blocks]
+        if view == "half transposed":
+            blocks = [X.T for X in blocks]
+        for X, r in zip(blocks, model.block_ranks()):
+            with full_eigh_sizes() as sizes:
+                V = extract_signal(X, r, check_centering=False).score_basis.columns
+            assert sizes and min(X.shape) not in sizes
+            Vt = np.linalg.svd(X, full_matrices=False)[2][:r]
+            assert np.max(np.abs(V @ V.T - Vt.T @ Vt)) <= 1e-10
 
 
 def qr_deflation(cols, w):

@@ -78,8 +78,9 @@ class TestDefaultOrdering:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             default_ordering(0)
-        with pytest.raises(ValueError):
-            default_ordering(17)
+        for K in (13, 17):
+            with pytest.raises(ValueError, match="K must be between 1 and 12"):
+                default_ordering(K)
 
     def test_custom_ordering_validation(self):
         ordering_from_lists([[1, 2], [2], [1]], 2)  # valid permutation

@@ -14,10 +14,10 @@
 #   made positive, ties broken by lowest index.
 # - A block's score basis needs only the top r eigenvectors of its Gram
 #   matrix, which _top_eigvecs finds by Chebyshev-filtered subspace iteration
-#   (Zhou & Saad 2007), falling back to a full eigh where it cannot vouch for
-#   its answer. The flag mean keeps the full eigh: its Gram is only as large
-#   as the participants' summed ranks, and its tie rule reads every singular
-#   value.
+#   (Zhou & Saad 2007), falling back to a full eigh where it would not pay
+#   or cannot vouch for its answer. The flag mean keeps the full eigh: its
+#   Gram is only as large as the participants' summed ranks, and its tie rule
+#   reads every singular value.
 
 from __future__ import annotations
 
@@ -42,6 +42,9 @@ COMPLEMENT_TOL = 1e-8
 # step, then a Chebyshev filter of degree CHEB_DEGREE. It stops when every
 # wanted residual ||G y - theta y|| is at most CHEB_RES_RTOL * theta_1, and
 # keeps the answer only if theta_k - theta_{k+1} > CHEB_GAP_RTOL * theta_1.
+# It gives up, at any Rayleigh-Ritz step, once the Ritz values predict that
+# the filter sweeps left of CHEB_MAX_SWEEPS cannot reach that residual: a
+# spectrum without a gap after k costs about one sweep before the full eigh.
 # A theta_m at or below CHEB_NULL_RTOL * theta_1 means G's rank is below m.
 CHEB_MIN_N = 64
 CHEB_MIN_RATIO = 5
@@ -118,7 +121,7 @@ def _top_eigvecs(G: np.ndarray, k: int):
     m = k + max(k, 4)
     if n >= max(CHEB_MIN_N, CHEB_MIN_RATIO * m):
         Y = np.linalg.qr(G @ np.random.default_rng(CHEB_SEED).standard_normal((n, m)))[0]
-        for _ in range(CHEB_MAX_SWEEPS):
+        for sweeps_left in range(CHEB_MAX_SWEEPS, -1, -1):
             GY = G @ Y
             theta, Z = np.linalg.eigh(Y.T @ GY)
             theta, Z = theta[::-1], Z[:, ::-1]
@@ -127,9 +130,15 @@ def _top_eigvecs(G: np.ndarray, k: int):
             if not tm > CHEB_NULL_RTOL * t1:  # also catches an all-zero G
                 break
             R = GY[:, :k] - Y[:, :k] * theta[:k]
-            if np.max(np.sum(R * R, axis=0)) <= (CHEB_RES_RTOL * t1) ** 2:
+            excess = math.sqrt(np.max(np.sum(R * R, axis=0))) / (CHEB_RES_RTOL * t1)
+            if excess <= 1.0:
                 if theta[k - 1] - theta[k] > CHEB_GAP_RTOL * t1:
                     return theta[:k], Y[:, :k]
+                break
+            # A sweep shrinks the residuals by about T_d(2 theta_k / theta_m - 1);
+            # give up now if the sweeps left cannot close the excess.
+            shrink = CHEB_DEGREE * math.acosh(2.0 * theta[k - 1] / tm - 1.0)  # log T_d
+            if math.log(excess) > sweeps_left * shrink:
                 break
             Y = np.linalg.qr(_chebyshev_filter(G, Y, GY, tm, t1))[0]
     vals, vecs = np.linalg.eigh(G)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from psidecomp import extract_signal, flag_mean_direction
+from psidecomp import extract_signal, flag_mean_direction, subspace
 from psidecomp.simgen import generate, model_preset
 from psidecomp.subspace import (
     CHEB_MIN_N,
@@ -185,6 +185,25 @@ class TestPartialEigensolver:
         assert np.array_equal(theta, vals[::-1][:k])
         assert np.array_equal(U, vecs[:, ::-1][:, :k])
         assert_orthonormal(U)
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_gapless_spectrum_falls_back_within_one_sweep(self, n):
+        # lam_8 / lam_9 = 1.005 and a flat tail: the filter would need about
+        # 25 sweeps, which the first Ritz values already show
+        rng = np.random.default_rng(13)
+        k = 8
+        tail = (1.0 - 1e-3 * rng.random(n - k)) / 1.005
+        G = spectral_gram(rng, np.concatenate([np.linspace(3.0, 2.0, k - 1), [1.0], tail]))
+        sweeps = []
+        real = subspace._chebyshev_filter
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subspace, "_chebyshev_filter",
+                       lambda *args: sweeps.append(1) or real(*args))
+            with full_eigh_sizes() as sizes:
+                theta, U = _top_eigvecs(G, k)
+        assert len(sweeps) <= 1
+        assert sizes[-1] == n
+        assert_matches_eigh(G, k, theta, U)
 
     @pytest.mark.parametrize("view", ["whole", "half", "half transposed"])
     def test_model_6_signals_use_no_full_eigh(self, view):

@@ -5,6 +5,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -150,9 +151,9 @@ class _Checkpoint:
     copies taken at the gate. ``finished`` ((index-set, basis) per finished
     stage) and ``records`` are the run's own append-only lists, of which the
     first ``n_finished`` and ``n_records`` entries existed at the gate. ``gate``
-    is the candidate that was rejected there, as (w, degenerate, angles), so
-    a resume decides it again without recomputing its flag mean; it is None
-    for the start of a run.
+    is the candidate that was rejected there, as (w, degenerate, angles, c)
+    with c the participants' coefficients B_i^T w, so a resume decides it
+    again without recomputing its flag mean; it is None for the start of a run.
     """
 
     stage: int
@@ -204,35 +205,38 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
         idx = [m - 1 for m in subset.members]
         claimed = list(cp.claimed) if stage == cp.stage else []
         if len(idx) == 1:
-            k = idx[0]
-            claimed = [work[k][:, j] for j in range(work[k].shape[1])]
-            work[k] = np.zeros((n, 0))
+            # The block's leftover basis is claimed as it stands.
+            mat, work[idx[0]] = work[idx[0]], np.zeros((n, 0))
+            claimed = mat.T
         else:
             while all(work[i].shape[1] > 0 for i in idx):
                 if gate is None:
                     w, degenerate = _flag_mean_refined([work[i] for i in idx])
-                    angles = tuple(float(np.arcsin(_sine(work[i], w))) for i in idx)
+                    # B_i^T w, formed once: for the angle, the peel test and the deflation.
+                    c = [work[i].T @ w for i in idx]
+                    angles = tuple(np.arcsin([_sine(work[i], w, ci)
+                                              for i, ci in zip(idx, c)]).tolist())
                 else:
-                    (w, degenerate, angles), gate = gate, None
+                    (w, degenerate, angles, c), gate = gate, None
                 if not all(a < angle_threshold for a in angles):
                     rejected.append(_Checkpoint(
                         stage, tuple(work), tuple(claimed), finished, len(finished),
-                        records, len(records), hi, (w, degenerate, angles)))
+                        records, len(records), hi, (w, degenerate, angles, c)))
                     hi = min(hi, max(angles))
                     break
-                if any(np.linalg.norm(work[i].T @ w) <= 1e-12 for i in idx):
+                if any(math.sqrt(ci @ ci) <= 1e-12 for ci in c):
                     # Nothing to peel: the stage ends as a failed gate would,
                     # whatever the threshold, so neither bound moves.
                     break
-                for i in idx:
-                    work[i] = _deflate_cols(work[i], w)
+                for i, ci in zip(idx, c):
+                    work[i] = _deflate_cols(work[i], w, ci)
                 claimed.append(w)
                 records.append(AcceptanceRecord(subset, angles, degenerate))
+            mat = np.column_stack(claimed) if claimed else np.zeros((n, 0))
         for w in claimed:
             for other in range(K):
                 if other not in idx:
                     work[other] = _complement(work[other], w[:, None])
-        mat = np.column_stack(claimed) if claimed else np.zeros((n, 0))
         finished.append((subset, OrthonormalBasis(mat)))
 
     lo = max((max(rec.angles) for rec in records), default=-1.0)

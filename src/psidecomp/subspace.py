@@ -15,9 +15,9 @@
 # - A block's score basis needs only the top r eigenvectors of its Gram
 #   matrix, which _top_eigvecs finds by Chebyshev-filtered subspace iteration
 #   (Zhou & Saad 2007), falling back to a full eigh where it would not pay
-#   or cannot vouch for its answer. The flag mean keeps the full eigh: its
-#   Gram is only as large as the participants' summed ranks, and its tie rule
-#   reads every singular value.
+#   or cannot vouch for its answer. The flag mean keeps one full eigh: its
+#   Gram is only as large as the participants' summed ranks, its tie rule
+#   reads every singular value, and the same eigenvectors give the direction.
 
 from __future__ import annotations
 
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 ORTHONORMAL_TOL = 1e-10  # entrywise tolerance on B^T B - I before a QR re-pass
-# _right_vectors keeps V = X^T U / s only when V^T V is this close to I. Well
-# below ORTHONORMAL_TOL: scores built from V must meet that bound, and a V
-# accepted at it left stacked scores 1.06e-10 off orthonormal.
+# _right_vectors and the flag mean keep V = X^T U / s only when V^T V is this
+# close to I. Well below ORTHONORMAL_TOL: scores built from V must meet that
+# bound, and a V accepted at it left stacked scores 1.06e-10 off orthonormal.
 DIVISION_TOL = 1e-14
 TIE_RTOL = 1e-6          # flag-mean singular values this close to the top are tied
 # A direction shared with a claimed one leaves a residue of up to about 1e-10
@@ -62,15 +62,8 @@ class NothingToPeel(ValueError):
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     # np.argmax returns the first maximal index, which gives the tie rule.
-    i = int(np.argmax(np.abs(v)))
+    i = int(np.abs(v).argmax())
     return -v if v[i] < 0 else v
-
-
-def _gram(X: np.ndarray):
-    """The Gram matrix on the smaller side of a p x n matrix X, and whether
-    that side is the wide one (X X^T, for n > p) rather than X^T X."""
-    wide = X.shape[1] > X.shape[0]
-    return (X @ X.T if wide else X.T @ X), wide
 
 
 def _right_vectors(X: np.ndarray, wide: bool, s: np.ndarray, U: np.ndarray):
@@ -93,21 +86,12 @@ def _right_vectors(X: np.ndarray, wide: bool, s: np.ndarray, U: np.ndarray):
     return np.linalg.qr(XtU)[0]
 
 
-def _top_singular(X: np.ndarray, k: int):
-    """All singular values of a p x n matrix X, largest first, and its top k
-    right singular vectors (n x k, orthonormal, signs unfixed), from a full
-    eigensolve of the Gram matrix on the smaller side of X."""
-    G, wide = _gram(X)
-    vals, vecs = np.linalg.eigh(G)
-    s = np.sqrt(np.maximum(vals[::-1], 0.0))
-    return s, _right_vectors(X, wide, s[:k], vecs[:, ::-1][:, :k])
-
-
 def _top_right_vectors(X: np.ndarray, k: int) -> np.ndarray:
     """The top k right singular vectors of X (n x k, orthonormal, signs
-    unfixed), from the top k eigenpairs of its smaller Gram matrix."""
-    G, wide = _gram(X)
-    theta, U = _top_eigvecs(G, k)
+    unfixed), from the top k eigenpairs of its Gram matrix on the smaller
+    side: X X^T when X is wide (n > p), else X^T X."""
+    wide = X.shape[1] > X.shape[0]
+    theta, U = _top_eigvecs(X @ X.T if wide else X.T @ X, k)
     return _right_vectors(X, wide, np.sqrt(np.maximum(theta, 0.0)), U)
 
 
@@ -180,7 +164,7 @@ class OrthonormalBasis:
             raise ValueError(f"subspace dimension {r} exceeds ambient dimension {n}")
         if r > 0:
             gram = cols.T @ cols
-            if np.max(np.abs(gram - np.eye(r))) > ORTHONORMAL_TOL:
+            if np.abs(gram - np.eye(r)).max() > ORTHONORMAL_TOL:
                 cols, _ = np.linalg.qr(cols)
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
@@ -243,11 +227,11 @@ def orthonormalize(raw: np.ndarray, tol: float = 1e-12) -> OrthonormalBasis:
     return OrthonormalBasis(cols)
 
 
-def _sine(cols: np.ndarray, w: np.ndarray) -> float:
-    """||w - cols cols^T w||, clamped to at most 1: the sine of the angle
-    between a unit vector w and the span of orthonormal columns."""
-    resid = w - cols @ (cols.T @ w)
-    return float(min(np.linalg.norm(resid), 1.0))
+def _sine(cols: np.ndarray, w: np.ndarray, c: np.ndarray) -> float:
+    """||w - cols c|| for c = cols^T w, clamped to at most 1: the sine of the
+    angle between a unit vector w and the span of orthonormal columns."""
+    resid = w - cols @ c
+    return min(math.sqrt(resid @ resid), 1.0)
 
 
 def sine_distance(w: UnitDirection, B: OrthonormalBasis) -> float:
@@ -256,7 +240,7 @@ def sine_distance(w: UnitDirection, B: OrthonormalBasis) -> float:
         raise ValueError(f"ambient dimensions differ: {w.n} vs {B.n}")
     if B.r == 0:
         return 1.0
-    return _sine(B.columns, w.vector)
+    return _sine(B.columns, w.vector, B.columns.T @ w.vector)
 
 
 def principal_angle(w: UnitDirection, B: OrthonormalBasis) -> float:
@@ -293,13 +277,22 @@ def _flag_mean_refined(blocks):
     with each input subspace in turn, so that the returned direction
     concentrates on a single intersection pattern instead of an arbitrary
     mixture. Returns (direction, degenerate_flag).
+
+    One eigh of H^T H, H = hstack(blocks), serves both: its eigenvalues give
+    the singular values s of H that decide the tie, and H maps its top
+    eigenvectors u to the left singular vectors H u / s.
     """
-    Ht = np.hstack(blocks).T
-    s, U = _top_singular(Ht, 1)
-    tied = int(np.sum(s >= s[0] * (1.0 - TIE_RTOL)))
+    H = np.concatenate(blocks, axis=1)
+    vals, vecs = np.linalg.eigh(H.T @ H)
+    s = np.sqrt(np.maximum(vals[::-1], 0.0))
+    tied = np.count_nonzero(s >= s[0] * (1.0 - TIE_RTOL))
     if tied <= 1:
-        return _fix_sign(U[:, 0]), False
-    _, T = _top_singular(Ht, tied)
+        Hu = H @ vecs[:, -1]
+        w = Hu / s[0]
+        if not abs(w @ w - 1.0) <= DIVISION_TOL:
+            w = Hu / np.linalg.norm(Hu)
+        return _fix_sign(w), False
+    T = _right_vectors(H.T, True, s[:tied], vecs[:, ::-1][:, :tied])
     for cols in blocks:
         if T.shape[1] == 1:
             break
@@ -321,12 +314,13 @@ def deflate(B: OrthonormalBasis, w: UnitDirection) -> OrthonormalBasis:
         raise ValueError(f"ambient dimensions differ: {w.n} vs {B.n}")
     if B.r == 0:
         raise NothingToPeel("cannot deflate the zero subspace")
-    if float(np.linalg.norm(B.columns.T @ w.vector)) <= 1e-12:
+    c = B.columns.T @ w.vector
+    if float(np.linalg.norm(c)) <= 1e-12:
         raise NothingToPeel("direction is orthogonal to the subspace")
-    return OrthonormalBasis(_deflate_cols(B.columns, w.vector))
+    return OrthonormalBasis(_deflate_cols(B.columns, w.vector, c))
 
 
-def _deflate_cols(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _deflate_cols(cols: np.ndarray, w: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal columns spanning the complement, within span(cols), of the
     projection of w onto span(cols).
 
@@ -334,10 +328,11 @@ def _deflate_cols(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
     QR of x, whose Q is one Householder reflector I - tau v v^T. The reflector
     is written down the way LAPACK's geqrf/orgqr build it: beta = -sign(x_0),
     v = (x - beta e_1) / (x_0 - beta) so that v_0 = 1, tau = (beta - x_0) / beta.
-    The caller guarantees c != 0.
+    The caller guarantees c != 0, and may pass c when it has it.
     """
-    c = cols.T @ w
-    x = c / np.linalg.norm(c)
+    if c is None:
+        c = cols.T @ w
+    x = c / math.sqrt(c @ c)
     x0 = float(x[0])
     beta = -math.copysign(1.0, x0)
     v = x / (x0 - beta)
@@ -354,4 +349,5 @@ def _complement(cols: np.ndarray, Q: np.ndarray) -> np.ndarray:
     if cols.shape[1] == 0 or Q.shape[1] == 0:
         return cols
     U, s, _ = np.linalg.svd(cols - Q @ (Q.T @ cols), full_matrices=False)
-    return U[:, s > COMPLEMENT_TOL]
+    keep = s > COMPLEMENT_TOL
+    return U if keep.all() else U[:, keep]

@@ -247,6 +247,22 @@ def test_criterion_5_rse_windows(tuned_main_batches):
     relative to what the implemented reconstruction yields on this generator
     (truncating each block to its rank-2 SVD already floors model 1 at 0.157
     on these inputs); the windows are asserted verbatim regardless.
+
+    The red is not a matter of the noise level. A scan of snr on models 1-3
+    (the first 10 of this test's 25 tuned repetitions per model, BLAS at 1
+    thread):
+
+        snr    RSE m1  RSE m2  RSE m3  theta_U(m1)
+        15     0.159   0.103   0.111   16.0 deg
+        12     0.204   0.131   0.141   17.9 deg
+        10.5   0.237   0.151   0.164   19.2 deg
+        7.5    0.352   0.220   0.266   23.0 deg
+
+    At snr 10.5 all three RSE windows hold, but theta_U(m1) leaves criterion
+    5's window [14.5, 17.5]; at snr 12 model 1's RSE is below 0.21 and
+    theta_U(m1) above 17.5. No snr meets both halves of criterion 5 on this
+    generator, so the windows presume another RSE definition or other
+    generator scales, not another snr.
     """
     windows = {1: (0.21, 0.27), 2: (0.10, 0.16), 3: (0.13, 0.19)}
     rses = {mid: float(np.mean([o.rse for o in tuned_main_batches[mid]]))

@@ -2,10 +2,12 @@
 
 extract_signal takes its score basis from the top eigenvectors of the Gram
 matrix on the block's smaller side, found by Chebyshev-filtered subspace
-iteration with a full eigh as fallback; the flag mean comes from a full eigh
-of the m x m Gram matrix of the stacked bases, and deflation writes its
-Householder reflector in closed form. Each is checked here against the full
-SVD, eigh or QR it replaces.
+iteration with a full eigh as fallback; the flag mean comes from one full
+eigh of the m x m Gram matrix of the stacked bases, which decides the tie and
+gives the direction, and deflation writes its Householder reflector in closed
+form. Each is checked here against the full SVD, eigh or QR it replaces. A
+gate of identify forms each participant's coefficients B_i^T w once; its
+angles and deflations must equal the public kernels' bit for bit.
 """
 
 from contextlib import contextmanager
@@ -15,14 +17,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from psidecomp import extract_signal, flag_mean_direction, subspace
+from psidecomp import (
+    IndexSet,
+    SignalEstimate,
+    default_ordering,
+    deflate,
+    extract_signal,
+    flag_mean_direction,
+    identify,
+    principal_angle,
+    sine_distance,
+    subspace,
+)
 from psidecomp.simgen import generate, model_preset
 from psidecomp.subspace import (
     CHEB_MIN_N,
+    TIE_RTOL,
     OrthonormalBasis,
+    UnitDirection,
     _deflate_cols,
     _fix_sign,
     _flag_mean_refined,
+    _sine,
     _top_eigvecs,
     orthonormalize,
 )
@@ -263,10 +279,44 @@ class TestClosedFormDeflation:
         assert np.max(np.abs(out.T @ w), initial=0.0) <= 1e-14
 
 
+def two_eigh_flag_mean(blocks):
+    """Reference flag mean that solves the m x m Gram of H = hstack(blocks)
+    twice: once for the singular values that decide the tie, and once more
+    for the top tied vectors, mapped to H u / s with a QR where that division
+    is not orthonormal to 1e-14. The tie refinement is the library's."""
+    H = np.hstack(blocks)
+    s = np.sqrt(np.maximum(np.linalg.eigh(H.T @ H)[0][::-1], 0.0))
+    tied = int(np.sum(s >= s[0] * (1.0 - TIE_RTOL)))
+    U = np.linalg.eigh(H.T @ H)[1][:, ::-1][:, :tied]
+    T = H @ U / s[:tied]
+    if np.max(np.abs(T.T @ T - np.eye(tied))) > 1e-14:
+        T = np.linalg.qr(H @ U)[0]
+    for cols in blocks:
+        if T.shape[1] == 1:
+            break
+        G = T.T @ cols
+        vals, vecs = np.linalg.eigh(G @ G.T)
+        T = T @ vecs[:, vals >= vals[-1] - 1e-9]
+    return _fix_sign(T[:, 0]), tied > 1
+
+
+def tied_blocks(rng, n, shared, extras):
+    """Bases that all contain one shared subspace of dimension ``shared``
+    (plus ``extras[i]`` random directions each), so the top singular value of
+    their stack is repeated ``shared`` times; with shared = 1 and no extras,
+    mutually orthogonal lines, whose tie the refinement must break."""
+    if shared == 1 and not any(extras):
+        Q = orthonormalize(rng.standard_normal((n, len(extras)))).columns
+        return [Q[:, i:i + 1] for i in range(len(extras))]
+    S = orthonormalize(rng.standard_normal((n, shared))).columns
+    return [orthonormalize(np.hstack([S, rng.standard_normal((n, e))])).columns
+            for e in extras]
+
+
 class TestGramFlagMean:
     @SETTINGS
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
-           ranks=st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 200),
+           ranks=st.lists(st.integers(1, 8), min_size=2, max_size=4))
     def test_matches_svd_top_vector(self, seed, n, ranks):
         assume(max(ranks) <= n)
         rng = np.random.default_rng(seed)
@@ -279,3 +329,92 @@ class TestGramFlagMean:
         assert np.max(np.abs(w - oracle)) <= 1e-9
         public = flag_mean_direction([OrthonormalBasis(b) for b in blocks]).vector
         assert np.max(np.abs(public - oracle)) <= 1e-9
+
+    @SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 200),
+           shared=st.integers(1, 3), extras=st.lists(st.integers(0, 4), min_size=2, max_size=3))
+    def test_tie_branch_matches_two_eigh_route(self, seed, n, shared, extras):
+        assume(shared + max(extras) <= n)
+        blocks = tied_blocks(np.random.default_rng(seed), n, shared, extras)
+        w, degenerate = _flag_mean_refined(blocks)
+        oracle, oracle_degenerate = two_eigh_flag_mean(blocks)
+        assert degenerate == oracle_degenerate
+        assert np.max(np.abs(w - oracle)) <= 1e-12
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+
+    def test_tied_inputs_take_the_tie_branch_with_one_eigh(self):
+        rng = np.random.default_rng(5)
+        for shared, extras in [(2, [2, 3]), (3, [0, 4, 1]), (2, [1, 1, 1])]:
+            blocks = tied_blocks(rng, 60, shared, extras)
+            m = sum(b.shape[1] for b in blocks)
+            with full_eigh_sizes() as sizes:
+                w, degenerate = _flag_mean_refined(blocks)
+            assert degenerate
+            # one eigh of the m x m Gram, then the refinement's shared x shared ones
+            assert sizes[0] == m
+            assert all(k == shared for k in sizes[1:])
+            assert all(_sine(b, w, b.T @ w) <= 1e-12 for b in blocks)  # w is shared
+
+
+def signals_of_bases(bases):
+    return [SignalEstimate(np.zeros((2, b.n)), b, b.r) for b in bases]
+
+
+class TestGateSharesCoefficients:
+    """A gate forms c_i = B_i^T w once and uses it for the angle, the
+    nothing-to-peel test and the deflation; each use must equal the public
+    kernel that forms c_i itself, bit for bit."""
+
+    @SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 200), r=st.integers(1, 8))
+    def test_kernels_with_shared_coefficients(self, seed, n, r):
+        assume(r <= n)
+        rng = np.random.default_rng(seed)
+        B = orthonormalize(rng.standard_normal((n, r)))
+        w = UnitDirection(rng.standard_normal(n))
+        cols, v = B.columns, w.vector
+        c = cols.T @ v
+        assert _sine(cols, v, c) == sine_distance(w, B)
+        assert np.arcsin([_sine(cols, v, c)]).tolist()[0] == principal_angle(w, B)
+        assume(np.linalg.norm(c) > 1e-12)
+        shared = _deflate_cols(cols, v, c)
+        assert shared.tobytes() == deflate(B, w).columns.tobytes()
+        assert shared.tobytes() == _deflate_cols(cols, v).tobytes()
+
+    @SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 200),
+           ranks=st.tuples(st.integers(2, 8), st.integers(2, 8)))
+    def test_gate_angles_equal_public_geometry(self, seed, n, ranks):
+        rng = np.random.default_rng(seed)
+        bases = [orthonormalize(rng.standard_normal((n, r))) for r in ranks]
+        result = identify(signals_of_bases(bases), default_ordering(2), 1.5)
+        records = result.diagnostics
+        assume(records)
+        # Replay the joint stage with the public kernels: flag mean, angles,
+        # deflation of both bases.
+        current = bases
+        for rec in records:
+            w = flag_mean_direction(current)
+            assert rec.angles == tuple(principal_angle(w, B) for B in current)
+            current = [deflate(B, w) for B in current]
+            if min(B.r for B in current) == 0:
+                break
+
+
+class TestOverlapReadsZero:
+    @SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 200),
+           shared=st.integers(1, 3), extras=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    def test_shared_directions_pass_a_tiny_threshold(self, seed, n, shared, extras):
+        assume(shared + sum(extras) <= n)  # no intersection beyond the shared part
+        blocks = tied_blocks(np.random.default_rng(seed), n, shared, list(extras))
+        bases = [OrthonormalBasis(b) for b in blocks]
+        result = identify(signals_of_bases(bases), default_ordering(2), 1e-9)
+        assert dict(result.structure.entries)[IndexSet((1, 2))] == shared
+        assert all(a <= 1e-12 for rec in result.diagnostics for a in rec.angles)
+
+    def test_identical_bases(self):
+        B = orthonormalize(np.random.default_rng(8).standard_normal((50, 4)))
+        result = identify(signals_of_bases([B, B]), default_ordering(2), 1e-9)
+        assert dict(result.structure.entries)[IndexSet((1, 2))] == 4
+        assert all(a <= 1e-12 for rec in result.diagnostics for a in rec.angles)

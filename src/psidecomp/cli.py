@@ -23,6 +23,7 @@ from .core import (
 from .loading import estimate_loadings
 from .simgen import (
     _pool_map,
+    _usable_cores,
     generate,
     imbalanced_preset,
     model_preset,
@@ -135,7 +136,7 @@ def _threads(args) -> int:
         if threads < 1:
             raise ConfigError("PSI_THREADS must be at least 1")
         return threads
-    return os.cpu_count() or 1
+    return _usable_cores()
 
 
 def _resolve_model(args):

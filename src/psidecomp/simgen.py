@@ -5,9 +5,10 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -312,12 +313,62 @@ def run_once(model: SimulationModel, seed: int, angle_threshold: float | None = 
     )
 
 
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask, which also reflects a
+    container's cpuset, where the platform has one; else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# numpy's wheels bundle a renamed OpenBLAS; system builds keep the plain names
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _set_blas_threads(count: int) -> None:
+    """Give every OpenBLAS loaded in this process ``count`` threads.
+
+    Does nothing when the user chose a count through the environment, or when
+    no loaded library exports a set-threads symbol (another BLAS, or a
+    platform without /proc/self/maps); never raises.
+    """
+    if any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
+        return
+    try:
+        with open("/proc/self/maps") as fh:
+            maps = [line.split(None, 5) for line in fh]
+    except OSError:
+        return
+    for path in sorted({f[5].strip() for f in maps
+                        if len(f) == 6 and "openblas" in f[5].lower()}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SET_THREADS:
+            if hasattr(lib, name):
+                fn = getattr(lib, name)
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                fn(count)
+                break
+
+
 def _pool_map(fn, jobs, threads: int) -> list:
-    """[fn(*job) for job in jobs], in a pool of ``threads`` processes when
-    there is more than one of each; results keep the order of ``jobs``."""
-    if threads <= 1 or len(jobs) <= 1:
+    """[fn(*job) for job in jobs], in a pool of min(threads, len(jobs))
+    processes when that is more than one; results keep the order of ``jobs``.
+
+    Each worker gets an equal share of the usable cores as OpenBLAS threads,
+    so the workers do not oversubscribe them. The pool is imported here, so a
+    process that never forks one does not load ``multiprocessing``.
+    """
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         return [fn(*job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads,
+                             initargs=(max(1, _usable_cores() // workers),)) as pool:
         return list(pool.map(fn, *zip(*jobs)))
 
 

@@ -176,6 +176,17 @@ class TestDecompose:
         with pytest.raises(ConfigError):
             _threads(Args())
 
+    def test_threads_default_is_the_usable_cores(self, monkeypatch):
+        from psidecomp.cli import _threads
+
+        class Args:
+            threads = None
+
+        monkeypatch.delenv("PSI_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3})
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _threads(Args()) == 2  # a cpuset of 2 on a 64-core host
+
     def test_threads_env_below_one_exit_2(self, tmp_path, monkeypatch, capsys):
         for value in ("0", "-2"):
             monkeypatch.setenv("PSI_THREADS", value)

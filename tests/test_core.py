@@ -12,6 +12,7 @@ from psidecomp import (
     check_absolute_orthogonality,
     check_relative_independence,
     default_ordering,
+    estimate_loadings,
     extract_signal,
     generate,
     identify,
@@ -309,6 +310,60 @@ class TestIdentifyProperties:
                 assert res.stacked_scores()[0].tobytes() == fresh.stacked_scores()[0].tobytes()
                 assert res.diagnostics == fresh.diagnostics
                 assert res.stable_interval == fresh.stable_interval
+
+
+def benchmark_fit(model_id, seed, transform=lambda k, X: X, lam=np.deg2rad(20)):
+    """identify at ``lam`` on a model (snr 15, n 120, p 80) whose blocks pass
+    through ``transform(k, X)``; returns (signals, result)."""
+    model = model_preset(model_id, snr=15.0, n=120, block_size=80)
+    blocks = generate(model, seed).blocks
+    signals = [extract_signal(transform(k, X), r, check_centering=False)
+               for k, (X, r) in enumerate(zip(blocks, model.block_ranks()), start=1)]
+    return signals, identify(signals, model.ordering, lam)
+
+
+class TestIdentifyInvariances:
+    """Symmetries of the data that identify must respect, on the benchmark
+    models. Only spans are compared under a permutation: the columns of a
+    singleton basis are not canonical (ROADMAP item 3)."""
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    @pytest.mark.parametrize("model_id", range(1, 7))
+    def test_scaling_a_block_by_a_power_of_two(self, model_id, seed):
+        # 2^j is exact in floating point, so every Gram and projection of the
+        # scaled block is the old one times a power of two
+        signals, base = benchmark_fit(model_id, seed)
+        loads = estimate_loadings(signals, base).blocks
+        for block in (1, 2, 3):
+            for j in (-7, -1, 3, 9):
+                scaled_signals, res = benchmark_fit(
+                    model_id, seed, lambda k, X: X * 2.0**j if k == block else X)
+                assert res.structure.entries == base.structure.entries
+                assert res.stacked_scores()[0].tobytes() == base.stacked_scores()[0].tobytes()
+                assert res.diagnostics == base.diagnostics
+                assert res.stable_interval == base.stable_interval
+                scaled = estimate_loadings(scaled_signals, res).blocks
+                assert scaled.keys() == loads.keys()
+                for (k, subset), U in loads.items():
+                    want = U * 2.0**j if k == block else U
+                    assert scaled[(k, subset)].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", (1, 2, 3, 4))
+    @pytest.mark.parametrize("model_id", range(1, 7))
+    def test_permuting_samples_permutes_the_projectors(self, model_id, seed):
+        lam = np.deg2rad(20)
+        perm = np.random.default_rng(seed).permutation(120)
+        _, base = benchmark_fit(model_id, seed, lam=lam)
+        lo, hi = base.stable_interval
+        if min(lam - lo, hi - lam) < 1e-6:
+            pytest.skip("the threshold is within rounding of a structure change")
+        _, res = benchmark_fit(model_id, seed, lambda k, X: X[:, perm], lam=lam)
+        assert res.structure.entries == base.structure.entries
+        assert res.scores.keys() == base.scores.keys()
+        for subset, B in base.scores.items():
+            P = (B.columns @ B.columns.T)[np.ix_(perm, perm)]
+            C = res.scores[subset].columns
+            assert np.max(np.abs(C @ C.T - P), initial=0.0) <= 1e-10
 
 
 class TestStackedScores:

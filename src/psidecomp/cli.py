@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -18,7 +19,6 @@ from .core import (
     identify,
     identify_path,
     is_row_centered,
-    row_center,
 )
 from .loading import estimate_loadings
 from .simgen import (
@@ -190,32 +190,39 @@ def _check_args(args) -> None:
         args.model = _resolve_model(args)
 
 
+def _row_absmax(X: np.ndarray) -> np.ndarray:
+    """max_j |X_ij| per row, without a p x n temporary."""
+    return np.maximum(X.max(axis=1), -X.min(axis=1))
+
+
 def _load_dataset(args) -> MultiBlockDataset:
-    blocks = []
+    blocks, scales = [], []
     for path in args.blocks:
         if not os.path.exists(path):
             raise ConfigError(f"no such file: {path}")
         X = _read_csv_matrix(path)
         if not np.all(np.isfinite(X)):
             raise ConfigError(f"{path} contains non-finite entries")
+        # Centered in place, so no raw block outlives its own step; only its
+        # row scale is kept, for the all-zero check below.
+        scales.append(_row_absmax(X))
+        if args.center:
+            X -= X.mean(axis=1, keepdims=True)
         blocks.append(X)
     widths = {b.shape[1] for b in blocks}
     if len(widths) != 1:
         raise ConfigError("matched samples required")
-    if args.center:
-        centered = [row_center(b) for b in blocks]
-    else:
-        centered = blocks
+    if not args.center:
         for i, b in enumerate(blocks):
             if not is_row_centered(b):
                 print(f"warning: block {i + 1} rows are not centered "
                       "(use --center to apply row centering)", file=sys.stderr)
-    for path, raw, b in zip(args.blocks, blocks, centered):
+    for path, scale, b in zip(args.blocks, scales, blocks):
         # centering a constant row leaves rounding residue, not exact zeros
-        if np.all(np.abs(b) <= 1e-12 * np.abs(raw).max(axis=1, keepdims=True)):
+        if np.all(_row_absmax(b) <= 1e-12 * scale):
             after = " after row centering" if args.center else ""
             raise ConfigError(f"{path} is all zeros{after}")
-    return MultiBlockDataset(tuple(centered))
+    return MultiBlockDataset(tuple(blocks))
 
 
 def _load_signals(args):
@@ -276,9 +283,10 @@ def cmd_tune(args) -> int:
     data, ranks, signals = _load_signals(args)
     # the whole-data path does not depend on the split, so every repetition shares it
     whole_path = identify_path(signals, args.ordering, args.grid)
-    jobs = [(data, ranks, args.ordering, args.grid, args.seed + rep, whole_path)
-            for rep in range(args.reps)]
-    results = _pool_map(select_lambda, jobs, args.threads)
+    # the shared arguments reach each worker once; a job sends only its seed
+    tune = functools.partial(select_lambda, data, ranks, args.ordering, args.grid,
+                             whole_path=whole_path)
+    results = _pool_map(tune, [(args.seed + rep,) for rep in range(args.reps)], args.threads)
     mode, count = mode_structure([t.decomposition_hat.structure for t in results])
 
     os.makedirs(args.out, exist_ok=True)

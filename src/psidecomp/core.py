@@ -64,11 +64,21 @@ class MultiBlockDataset:
 
 @dataclass(frozen=True, eq=False)
 class SignalEstimate:
-    """Best rank-r approximation of a data block and its score subspace basis."""
+    """Best rank-r approximation of a data block, kept as two factors.
 
-    zhat: np.ndarray            # p_k x n, rank r
-    score_basis: OrthonormalBasis  # n x r right singular vectors
+    The estimate is Zhat_k = (X_k V_k) V_k^T for the n x r score basis V_k.
+    Only the p_k x r product X_k V_k is stored: the loadings and the held-out
+    risk need nothing else, so a block costs (p_k + n) r numbers here rather
+    than p_k n. ``zhat`` rebuilds the p_k x n matrix on each access.
+    """
+
+    factor: np.ndarray             # p_k x r, X_k V_k
+    score_basis: OrthonormalBasis  # n x r right singular vectors V_k
     rank: int
+
+    @property
+    def zhat(self) -> np.ndarray:
+        return self.factor @ self.score_basis.columns.T
 
 
 def is_row_centered(X: np.ndarray) -> bool:
@@ -87,8 +97,8 @@ def extract_signal(X: np.ndarray, rank: int, check_centering: bool = True) -> Si
     The score basis holds the top right singular vectors (sample-space
     directions), sign-fixed, taken from the top eigenvectors of the Gram
     matrix on the block's smaller side; the estimate is X projected onto
-    them. Rows are expected to be centered; a violation triggers a warning,
-    not an error.
+    them, kept as the factor X V. Rows are expected to be centered; a
+    violation triggers a warning, not an error.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -101,9 +111,8 @@ def extract_signal(X: np.ndarray, rank: int, check_centering: bool = True) -> Si
     if check_centering and not is_row_centered(X):
         warnings.warn("block rows are not centered; results assume row-centered data")
     V = _top_right_vectors(X, rank)
-    basis = np.column_stack([_fix_sign(v) for v in V.T])
-    zhat = (X @ basis) @ basis.T
-    return SignalEstimate(zhat=zhat, score_basis=OrthonormalBasis(basis), rank=rank)
+    basis = OrthonormalBasis(np.column_stack([_fix_sign(v) for v in V.T]))
+    return SignalEstimate(factor=X @ basis.columns, score_basis=basis, rank=rank)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 # Block-sparse least-squares loadings: per block k, regress the signal
-# estimate on W_(k), the score bases of the index-sets containing k laid out
-# by DecompositionResult.stacked_scores(k), then split the solution back into
-# per-index-set loading blocks.
+# estimate (held as the factors X_k V_k and V_k) on W_(k), the score bases of
+# the index-sets containing k laid out by DecompositionResult.stacked_scores(k),
+# then split the solution back into per-index-set loading blocks.
 
 from __future__ import annotations
 
@@ -47,8 +47,9 @@ def estimate_loadings(signals: Sequence[SignalEstimate],
     k (``result.stacked_scores(k)``). Precondition: W_(k) has orthonormal
     columns, which ``identify`` guarantees (its stacked scores are orthonormal
     to about 1e-10). Then W_(k)^T W_(k) = I and the least-squares solution is
-    U_(k) = Zhat_k W_(k). Raises ValueError when an entry of W_(k)^T W_(k) - I
-    exceeds 1e-8 in magnitude.
+    U_(k) = Zhat_k W_(k), computed from the signal's factors as
+    (X_k V_k)(V_k^T W_(k)) without forming Zhat_k. Raises ValueError when an
+    entry of W_(k)^T W_(k) - I exceeds 1e-8 in magnitude.
     """
     K = result.ordering.K
     if len(signals) != K:
@@ -60,10 +61,11 @@ def estimate_loadings(signals: Sequence[SignalEstimate],
             raise ValueError(
                 f"the score bases of the index-sets containing block {k} are not "
                 f"orthonormal together; estimate_loadings needs W_(k)^T W_(k) = I")
-        U_k = signals[k - 1].zhat @ W
+        sig = signals[k - 1]
+        U_k = sig.factor @ (sig.score_basis.columns.T @ W)
         for subset in dict.fromkeys(labels):
             blocks[(k, subset)] = U_k[:, [s == subset for s in labels]]
-    sizes = tuple(sig.zhat.shape[0] for sig in signals)
+    sizes = tuple(sig.factor.shape[0] for sig in signals)
     return LoadingSet(blocks=blocks, block_sizes=sizes)
 
 

@@ -6,6 +6,7 @@
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import time
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import MultiBlockDataset, extract_signal, identify, identify_path
-from .loading import LoadingSet, estimate_loadings, reconstruct
+from .loading import LoadingSet, estimate_loadings
 from .structure import (
     IndexOrdering,
     IndexSet,
@@ -206,7 +207,11 @@ def generate(model: SimulationModel, seed: int, joint_orthonormal: bool = True,
     else:
         sigma = math.sqrt(1.0 / model.snr)
         for Z in signals:
-            blocks.append(Z + sigma * rng.standard_normal(Z.shape))
+            # in place, and bit for bit Z + sigma * E: no p x n temporaries
+            E = rng.standard_normal(Z.shape)
+            E *= sigma
+            E += Z
+            blocks.append(E)
 
     return GroundTruth(model=model, seed=int(seed), scores=scores,
                        loadings=loadings, signals=signals, blocks=blocks)
@@ -224,16 +229,23 @@ def metric_accuracy(est: PartialJointStructure, truth: PartialJointStructure) ->
 
 
 def metric_rse(truth: GroundTruth, loadings: LoadingSet, result) -> float:
-    """Mean over blocks of ||Z_k - reconstruction||_F^2 / ||Z_k||_F^2."""
+    """Mean over blocks of ||Z_k - reconstruction||_F^2 / ||Z_k||_F^2.
+
+    The reconstruction U W^T is not formed: with U = U_(k) (p_k x r) and
+    W = W_(k) (n x r), ||Z - U W^T||^2 = ||Z||^2 - 2 <Z W, U> + <U^T U, W^T W>.
+    """
     K = truth.model.K
     total = 0.0
     for k in range(1, K + 1):
         Z = truth.signals[k - 1]
-        denom = float(np.sum(Z * Z))
+        denom = float(np.vdot(Z, Z))
         if denom == 0.0:
             raise ValueError(f"true signal block {k} is zero")
-        resid = Z - reconstruct(loadings, result, k)
-        total += float(np.sum(resid * resid)) / denom
+        W, labels = result.stacked_scores(k)
+        U = loadings.aligned(k, labels)
+        resid = denom - 2.0 * float(np.vdot(Z @ W, U)) + float(np.vdot(U.T @ U, W.T @ W))
+        # an exact fit leaves rounding of either sign
+        total += max(resid, 0.0) / denom
     return total / K
 
 
@@ -360,16 +372,37 @@ def _pool_map(fn, jobs, threads: int) -> list:
     processes when that is more than one; results keep the order of ``jobs``.
 
     Each worker gets an equal share of the usable cores as OpenBLAS threads,
-    so the workers do not oversubscribe them. The pool is imported here, so a
-    process that never forks one does not load ``multiprocessing``.
+    so the workers do not oversubscribe them. When ``fn`` is a
+    ``functools.partial``, its bound arguments are what the jobs share: it
+    goes to each worker once, through the initializer, which the fork start
+    method hands over without pickling, and a job sends only its own
+    arguments. The pool is imported here, so a process that never forks one
+    does not load ``multiprocessing``.
     """
     workers = min(threads, len(jobs))
     if workers <= 1:
         return [fn(*job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads,
-                             initargs=(max(1, _usable_cores() // workers),)) as pool:
-        return list(pool.map(fn, *zip(*jobs)))
+    blas_threads = max(1, _usable_cores() // workers)
+    init, initargs, call = _set_blas_threads, (blas_threads,), fn
+    if isinstance(fn, functools.partial):
+        init, initargs, call = _start_worker, (blas_threads, fn), _call_shared
+    with ProcessPoolExecutor(max_workers=workers, initializer=init,
+                             initargs=initargs) as pool:
+        return list(pool.map(call, *zip(*jobs)))
+
+
+_worker_fn = None  # set only in a pool worker, by _start_worker
+
+
+def _start_worker(blas_threads: int, fn) -> None:
+    global _worker_fn
+    _set_blas_threads(blas_threads)
+    _worker_fn = fn
+
+
+def _call_shared(*args):
+    return _worker_fn(*args)
 
 
 def run_repetitions(model: SimulationModel, repetitions: int, seed: int,
@@ -377,8 +410,9 @@ def run_repetitions(model: SimulationModel, repetitions: int, seed: int,
                     grid: Sequence[float] | None = None,
                     threads: int = 1) -> list[RepetitionOutcome]:
     """Seed-indexed repetitions seed, seed+1, ...; loadings stay fixed at ``seed``."""
-    jobs = [(model, seed + rep, angle_threshold, grid, seed) for rep in range(repetitions)]
-    return _pool_map(run_once, jobs, threads)
+    fit = functools.partial(run_once, model, angle_threshold=angle_threshold,
+                            grid=grid, loading_seed=seed)
+    return _pool_map(fit, [(seed + rep,) for rep in range(repetitions)], threads)
 
 
 def outcomes_tsv(outcomes: Sequence[RepetitionOutcome]) -> str:

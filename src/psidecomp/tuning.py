@@ -94,22 +94,21 @@ def empirical_risk(test_blocks: Sequence[np.ndarray],
     return total
 
 
-def _heldout_pieces(train_blocks: Sequence[np.ndarray],
-                    test_blocks: Sequence[np.ndarray],
-                    train_signals: Sequence) -> list:
+def _heldout_pieces(test_blocks, train_signals: Sequence) -> list:
     """Per block (V_k, A_k, S_k, ||X_test,k||^2), computed once per split.
 
-    V_k is the training score basis, L_k = X_train,k V_k, A_k = X_test,k^T L_k
-    (n_test x r_k) and S_k = L_k^T L_k (r_k x r_k).
+    V_k is the training score basis and L_k = X_train,k V_k the training
+    signal's factor, A_k = X_test,k^T L_k (n_test x r_k) and S_k = L_k^T L_k
+    (r_k x r_k). ``test_blocks`` may be a generator: each block is dropped
+    once its piece is formed.
     """
     pieces = []
-    for X_train, X_test, sig in zip(train_blocks, test_blocks, train_signals):
+    for X_test, sig in zip(test_blocks, train_signals):
         denom = float(np.sum(X_test * X_test))
         if denom == 0.0:
             raise ValueError("test block with zero norm; drop it before tuning")
-        V = sig.score_basis.columns
-        L = X_train @ V
-        pieces.append((V, X_test.T @ L, L.T @ L, denom))
+        L = sig.factor
+        pieces.append((sig.score_basis.columns, X_test.T @ L, L.T @ L, denom))
     return pieces
 
 
@@ -163,9 +162,9 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
     of index-sets without k set to zero. So X_test^T U = sum_k A_k C_k with
     A_k = X_test,k^T L_k, and ||X_test,k - L_k C_k W_test^T||^2 equals
     ||X_test,k||^2 - 2 <A_k C_k, W_test> + <C_k, L_k^T L_k C_k>: the last
-    term loses W_test because W_test = P Q^T has orthonormal columns. A_k
-    and L_k^T L_k are formed once per split, so no interval of the path
-    builds a p-sized matrix.
+    term loses W_test because W_test = P Q^T has orthonormal columns. L_k is
+    the training signal's factor, and A_k and L_k^T L_k are formed once per
+    split, so no interval of the path builds a p-sized matrix.
 
     ``whole_path`` is ``identify_path`` over ``grid`` on the whole data's
     signals at ``ranks``. It depends on neither the split nor the seed, so a
@@ -193,11 +192,11 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
                 f"to at most {n_train}")
     tr = list(plan.train)
     te = list(plan.test)
-    train_blocks = [X[:, tr] for X in data.blocks]
-    test_blocks = [X[:, te] for X in data.blocks]
-    train_signals = [extract_signal(B, r, check_centering=False)
-                     for B, r in zip(train_blocks, ranks)]
-    pieces = _heldout_pieces(train_blocks, test_blocks, train_signals)
+    # Each block's training and test copies are made one at a time and dropped
+    # once used: the training signal keeps only its p x r factor.
+    train_signals = [extract_signal(X[:, tr], r, check_centering=False)
+                     for X, r in zip(data.blocks, ranks)]
+    pieces = _heldout_pieces((X[:, te] for X in data.blocks), train_signals)
 
     # identify is piecewise constant in the threshold, so the held-out risk is
     # computed once per interval of the path.

@@ -1,15 +1,17 @@
+import argparse
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from psidecomp.cli import main
+from psidecomp.cli import _load_dataset, main
 
 
 def run_cli(*argv):
@@ -400,6 +402,26 @@ class TestDegenerateBlocks:
         blocks = [str(generated / f"X_{k}.csv") for k in (1, 2, 1)]
         assert run_cli(*command, "--blocks", *blocks, "--ranks", "4,4,4",
                        "--out", str(tmp_path / "o")) == 0
+
+
+class TestLoadDataset:
+    def test_center_keeps_at_most_one_block_in_flight(self, tmp_path):
+        rng = np.random.default_rng(8)
+        paths = []
+        for k in (1, 2, 3):
+            paths.append(str(tmp_path / f"X_{k}.csv"))
+            np.savetxt(paths[-1], rng.standard_normal((300, 200)) + 5.0, delimiter=",")
+        args = argparse.Namespace(blocks=paths, center=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            data = _load_dataset(args)
+            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert kept >= sum(b.nbytes for b in data.blocks)
+        assert peak - kept < data.blocks[0].nbytes
+        assert all(np.all(np.abs(b.mean(axis=1)) < 1e-12) for b in data.blocks)
 
 
 class TestSimulate:

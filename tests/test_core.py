@@ -32,7 +32,7 @@ from cases import (
 
 def signals_from_bases(bases):
     n = bases[0].n
-    return [SignalEstimate(zhat=np.zeros((2, n)), score_basis=b, rank=b.r)
+    return [SignalEstimate(factor=np.zeros((2, b.r)), score_basis=b, rank=b.r)
             for b in bases]
 
 
@@ -189,7 +189,7 @@ class TestIdentify:
         angle = np.deg2rad(8.0)
         v1 = np.cos(angle / 2) * shared + np.sin(angle / 2) * tilt
         v2 = np.cos(angle / 2) * shared - np.sin(angle / 2) * tilt
-        sigs = [SignalEstimate(np.zeros((2, n)), OrthonormalBasis(v.reshape(-1, 1)), 1)
+        sigs = [SignalEstimate(np.zeros((2, 1)), OrthonormalBasis(v.reshape(-1, 1)), 1)
                 for v in (v1, v2)]
         accepted = []
         for lam_deg in (1.0, 3.0, 4.5, 6.0, 20.0):
@@ -231,8 +231,8 @@ class TestIdentify:
         assert max(angles) <= 1e-12
 
     def test_sample_dimension_mismatch_rejected(self):
-        a = SignalEstimate(np.zeros((2, 4)), OrthonormalBasis(np.eye(4)[:, :1]), 1)
-        b = SignalEstimate(np.zeros((2, 5)), OrthonormalBasis(np.eye(5)[:, :1]), 1)
+        a = SignalEstimate(np.zeros((2, 1)), OrthonormalBasis(np.eye(4)[:, :1]), 1)
+        b = SignalEstimate(np.zeros((2, 1)), OrthonormalBasis(np.eye(5)[:, :1]), 1)
         with pytest.raises(ValueError):
             identify([a, b], default_ordering(2), 0.1)
 

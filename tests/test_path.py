@@ -148,7 +148,7 @@ def brute_force_select_lambda(data, ranks, ordering, grid, seed):
                      for B, r in zip(train, ranks)]
     # The held-out risk of one training result is select_lambda's own
     # function; tests/test_tuning.py pins it to the p-space helpers.
-    pieces = _heldout_pieces(train, test, train_signals)
+    pieces = _heldout_pieces(test, train_signals)
     risks, train_structures = [], []
     for lam in grid:
         res = identify(train_signals, ordering, lam)

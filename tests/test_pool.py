@@ -4,6 +4,8 @@
 
 import concurrent.futures
 import ctypes
+import functools
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -167,3 +169,55 @@ def test_tune_two_workers_write_the_serial_bytes(tmp_path):
         written[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert sorted(written["1"]) == ["curves.tsv", "tune.json"]
     assert written["1"] == written["2"]
+
+
+class RefusesPickling:
+    """A shared argument that a job's pickle would fail on."""
+
+    def __reduce__(self):
+        raise TypeError("shared arguments were pickled")
+
+
+def scale_by(shared, factor, x):
+    assert isinstance(shared, RefusesPickling)
+    return factor * x
+
+
+class StartingRecorder(Recorder):
+    """A Recorder that also runs the initializer inline, as a worker does,
+    and records the per-job arguments that map would send."""
+
+    sent = []
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        super().__init__(max_workers, initializer, initargs)
+        initializer(*initargs)
+
+    def map(self, fn, *iterables):
+        StartingRecorder.sent = [list(it) for it in iterables]
+        return map(fn, *StartingRecorder.sent)
+
+
+def test_shared_arguments_go_through_the_initializer(monkeypatch):
+    Recorder.built = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StartingRecorder)
+    monkeypatch.setattr(simgen, "_set_blas_threads", lambda count: None)
+    monkeypatch.setattr(simgen, "_worker_fn", None)
+    fn = functools.partial(scale_by, RefusesPickling(), 3)
+    assert _pool_map(fn, [(i,) for i in range(5)], 2) == [3 * i for i in range(5)]
+    assert Recorder.built == [(2, simgen._start_worker, (max(1, _usable_cores() // 2), fn))]
+    assert StartingRecorder.sent == [[0, 1, 2, 3, 4]]  # each job sends only its own argument
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only the fork start method hands the initializer over unpickled")
+def test_forked_workers_get_the_shared_arguments_unpickled():
+    fn = functools.partial(scale_by, RefusesPickling(), 2)
+    assert _pool_map(fn, [(i,) for i in range(4)], 2) == [0, 2, 4, 6]
+    assert simgen._worker_fn is None  # nothing stays behind in the parent
+
+
+def test_serial_path_calls_the_partial_directly(recorder):
+    fn = functools.partial(scale_by, RefusesPickling(), 5)
+    assert _pool_map(fn, [(1,), (2,)], 1) == [5, 10]
+    assert recorder == [] and simgen._worker_fn is None

@@ -168,7 +168,7 @@ class TestHeldOutRisk:
         test = [X[:, list(plan.test)] for X in data.blocks]
         signals = [extract_signal(B, r, check_centering=False)
                    for B, r in zip(train, model.block_ranks())]
-        pieces = _heldout_pieces(train, test, signals)
+        pieces = _heldout_pieces(test, signals)
         path = identify_path(signals, model.ordering, default_grid())
         assert len(path) > 1
         for _, _, res in path:

@@ -121,24 +121,6 @@ def _load_ordering(spec_text: str, K: int):
     return ordering_from_lists(lists, K)
 
 
-def _threads(args) -> int:
-    threads = getattr(args, "threads", None)
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError("--threads must be at least 1")
-        return threads
-    env = os.environ.get("PSI_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ConfigError("PSI_THREADS must be an integer")
-        if threads < 1:
-            raise ConfigError("PSI_THREADS must be at least 1")
-        return threads
-    return _usable_cores()
-
-
 def _resolve_model(args):
     for flag, value in (("--n", args.n), ("--p", args.p)):
         if value is not None and value < 1:
@@ -177,7 +159,10 @@ def _check_args(args) -> None:
     if hasattr(args, "grid"):
         args.grid = _parse_grid(args.grid) if args.grid else default_grid()
     if hasattr(args, "threads"):
-        args.threads = _threads(args)
+        if args.threads is None:
+            args.threads = _usable_cores()
+        elif args.threads < 1:
+            raise ConfigError("--threads must be at least 1")
     if hasattr(args, "blocks"):
         if (args.ranks is None) == (args.var_prop is None):
             raise ConfigError("exactly one of --ranks or --var-prop is required")
@@ -286,7 +271,7 @@ def cmd_tune(args) -> int:
     # the shared arguments reach each worker once; a job sends only its seed
     tune = functools.partial(select_lambda, data, ranks, args.ordering, args.grid,
                              whole_path=whole_path)
-    results = _pool_map(tune, [(args.seed + rep,) for rep in range(args.reps)], args.threads)
+    results = _pool_map(tune, [args.seed + rep for rep in range(args.reps)], args.threads)
     mode, count = mode_structure([t.decomposition_hat.structure for t in results])
 
     os.makedirs(args.out, exist_ok=True)
@@ -357,7 +342,7 @@ _OPTION_GROUPS = {
     ),
     "grid": (("--grid", dict(help="threshold grid lo:hi:step in degrees")),),
     "reps": (("--reps", dict(type=int, default=1)),),
-    "threads": (("--threads", dict(type=int, help="processes (env PSI_THREADS)")),),
+    "threads": (("--threads", dict(type=int, help="processes (default: the usable cores)")),),
     "run": (("--seed", dict(type=int, default=0)), ("--out", dict(required=True))),
 }
 

@@ -82,9 +82,12 @@ class SignalEstimate:
 
 
 def is_row_centered(X: np.ndarray) -> bool:
+    # |mean| <= rtol * sd, squared, with the row sums of squares taken
+    # without a p x n temporary
     means = X.mean(axis=1)
-    sds = X.std(axis=1)
-    return bool(np.all(np.abs(means) <= CENTERING_RTOL * np.maximum(sds, 0.0)))
+    sq_means = means * means
+    var = np.einsum("ij,ij->i", X, X) / X.shape[1] - sq_means
+    return bool(np.all(sq_means <= CENTERING_RTOL ** 2 * var))
 
 
 def row_center(X: np.ndarray) -> np.ndarray:

@@ -340,56 +340,47 @@ _BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_nu
 
 
 def _set_blas_threads(count: int) -> None:
-    """Give every OpenBLAS loaded in this process ``count`` threads.
+    """Give numpy's OpenBLAS ``count`` threads.
 
-    Does nothing when the user chose a count through the environment, or when
-    no loaded library exports a set-threads symbol (another BLAS, or a
-    platform without /proc/self/maps); never raises.
+    The set-threads symbol is looked up through a handle on numpy's own
+    linear-algebra extension, which reaches the OpenBLAS that it links. Does
+    nothing when the user chose a count through the environment, or when that
+    BLAS exports no set-threads symbol (another BLAS); never raises.
     """
     if any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
         return
     try:
-        with open("/proc/self/maps") as fh:
-            maps = [line.split(None, 5) for line in fh]
-    except OSError:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
         return
-    for path in sorted({f[5].strip() for f in maps
-                        if len(f) == 6 and "openblas" in f[5].lower()}):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _BLAS_SET_THREADS:
-            if hasattr(lib, name):
-                fn = getattr(lib, name)
-                fn.argtypes, fn.restype = [ctypes.c_int], None
-                fn(count)
-                break
+    for name in _BLAS_SET_THREADS:
+        if hasattr(lib, name):
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = [ctypes.c_int], None
+            fn(count)
+            return
 
 
-def _pool_map(fn, jobs, threads: int) -> list:
-    """[fn(*job) for job in jobs], in a pool of min(threads, len(jobs))
-    processes when that is more than one; results keep the order of ``jobs``.
+def _pool_map(fn, args, threads: int) -> list:
+    """[fn(a) for a in args], in a pool of min(threads, len(args)) processes
+    when that is more than one; results keep the order of ``args``.
 
-    Each worker gets an equal share of the usable cores as OpenBLAS threads,
-    so the workers do not oversubscribe them. When ``fn`` is a
-    ``functools.partial``, its bound arguments are what the jobs share: it
-    goes to each worker once, through the initializer, which the fork start
-    method hands over without pickling, and a job sends only its own
-    arguments. The pool is imported here, so a process that never forks one
-    does not load ``multiprocessing``.
+    ``fn`` goes to each worker once, through the initializer, which the fork
+    start method hands over without pickling, so what it binds (a
+    ``functools.partial``'s arguments) is shared and a job sends only its own
+    argument. Each worker also gets an equal share of the usable cores as
+    OpenBLAS threads, so the workers do not oversubscribe them. The pool is
+    imported here, so a process that never forks one does not load
+    ``multiprocessing``.
     """
-    workers = min(threads, len(jobs))
+    workers = min(threads, len(args))
     if workers <= 1:
-        return [fn(*job) for job in jobs]
+        return [fn(a) for a in args]
     from concurrent.futures import ProcessPoolExecutor
-    blas_threads = max(1, _usable_cores() // workers)
-    init, initargs, call = _set_blas_threads, (blas_threads,), fn
-    if isinstance(fn, functools.partial):
-        init, initargs, call = _start_worker, (blas_threads, fn), _call_shared
-    with ProcessPoolExecutor(max_workers=workers, initializer=init,
-                             initargs=initargs) as pool:
-        return list(pool.map(call, *zip(*jobs)))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                             initargs=(max(1, _usable_cores() // workers), fn)) as pool:
+        return list(pool.map(_call_shared, args))
 
 
 _worker_fn = None  # set only in a pool worker, by _start_worker
@@ -401,8 +392,8 @@ def _start_worker(blas_threads: int, fn) -> None:
     _worker_fn = fn
 
 
-def _call_shared(*args):
-    return _worker_fn(*args)
+def _call_shared(arg):
+    return _worker_fn(arg)
 
 
 def run_repetitions(model: SimulationModel, repetitions: int, seed: int,
@@ -412,7 +403,7 @@ def run_repetitions(model: SimulationModel, repetitions: int, seed: int,
     """Seed-indexed repetitions seed, seed+1, ...; loadings stay fixed at ``seed``."""
     fit = functools.partial(run_once, model, angle_threshold=angle_threshold,
                             grid=grid, loading_seed=seed)
-    return _pool_map(fit, [(seed + rep,) for rep in range(repetitions)], threads)
+    return _pool_map(fit, [seed + rep for rep in range(repetitions)], threads)
 
 
 def outcomes_tsv(outcomes: Sequence[RepetitionOutcome]) -> str:

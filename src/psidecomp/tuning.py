@@ -174,10 +174,6 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("threshold grid is empty")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    if grid[0] < 0 or grid[-1] >= np.pi / 2:
-        raise ValueError("grid values must lie in [0, pi/2)")
     K = data.K
     if len(ranks) != K:
         raise ValueError(f"expected {K} ranks, got {len(ranks)}")

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psidecomp.cli import _load_dataset, main
+from psidecomp import cli
+from psidecomp.cli import _check_args, _load_dataset, build_parser, main
 
 
 def run_cli(*argv):
@@ -165,37 +166,14 @@ class TestDecompose:
                 == {tuple(e["blocks"]): e["rank"]
                     for e in truth["structure"]["entries"]})
 
-    def test_threads_env_fallback(self, monkeypatch):
-        from psidecomp.cli import _threads
-
-        class Args:
-            threads = None
-
-        monkeypatch.setenv("PSI_THREADS", "3")
-        assert _threads(Args()) == 3
-        monkeypatch.setenv("PSI_THREADS", "bogus")
-        from psidecomp.cli import ConfigError
-        with pytest.raises(ConfigError):
-            _threads(Args())
-
     def test_threads_default_is_the_usable_cores(self, monkeypatch):
-        from psidecomp.cli import _threads
-
-        class Args:
-            threads = None
-
-        monkeypatch.delenv("PSI_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3})
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert _threads(Args()) == 2  # a cpuset of 2 on a 64-core host
-
-    def test_threads_env_below_one_exit_2(self, tmp_path, monkeypatch, capsys):
-        for value in ("0", "-2"):
-            monkeypatch.setenv("PSI_THREADS", value)
-            code = run_cli("simulate", "--model", "2", "--lambda-deg", "20",
-                           "--n", "40", "--p", "30", "--out", str(tmp_path / "s"))
-            assert code == 2
-            assert "PSI_THREADS must be at least 1" in capsys.readouterr().err
+        for argv in (["tune", "--blocks", "X_1.csv", "--ranks", "4"],
+                     ["simulate", "--model", "2"]):
+            args = build_parser().parse_args([*argv, "--out", "o"])
+            _check_args(args)
+            assert args.threads == 2  # a cpuset of 2 on a 64-core host
 
     def test_nan_csv_exit_2_without_centering_warning(self, generated, tmp_path, capsys):
         X = np.loadtxt(generated / "X_1.csv", delimiter=",")
@@ -405,13 +383,16 @@ class TestDegenerateBlocks:
 
 
 class TestLoadDataset:
-    def test_center_keeps_at_most_one_block_in_flight(self, tmp_path):
+    @staticmethod
+    def load_traced(tmp_path, center):
+        """The dataset of 3 uncentered 300 x 200 blocks, and the bytes it keeps
+        and its peak, both above what was allocated before the load."""
         rng = np.random.default_rng(8)
         paths = []
         for k in (1, 2, 3):
             paths.append(str(tmp_path / f"X_{k}.csv"))
             np.savetxt(paths[-1], rng.standard_normal((300, 200)) + 5.0, delimiter=",")
-        args = argparse.Namespace(blocks=paths, center=True)
+        args = argparse.Namespace(blocks=paths, center=center)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -421,7 +402,16 @@ class TestLoadDataset:
             tracemalloc.stop()
         assert kept >= sum(b.nbytes for b in data.blocks)
         assert peak - kept < data.blocks[0].nbytes
+        return data
+
+    def test_center_keeps_at_most_one_block_in_flight(self, tmp_path):
+        data = self.load_traced(tmp_path, center=True)
         assert all(np.all(np.abs(b.mean(axis=1)) < 1e-12) for b in data.blocks)
+
+    def test_centering_check_keeps_at_most_one_block_in_flight(self, tmp_path, capsys):
+        data = self.load_traced(tmp_path, center=False)
+        assert all(np.all(b.mean(axis=1) > 4.0) for b in data.blocks)
+        assert capsys.readouterr().err.count("rows are not centered") == 3
 
 
 class TestSimulate:
@@ -482,6 +472,16 @@ ARGUMENT_ERRORS = (
     (["decompose", "--ranks", "8,8", "--lambda-deg", "20"],
      "--ranks needs 3 comma-separated integers"),
     (["decompose", "--var-prop", "1.5", "--lambda-deg", "20"], "--var-prop must lie in (0, 1]"),
+    (["decompose", "--ranks", "4,x,4", "--lambda-deg", "20"], "bad rank value 'x'"),
+    (["decompose", "--ranks", "4,0,4", "--lambda-deg", "20"],
+     "rank 0 out of range for block 2"),
+    (["decompose", "--ranks", "4,4,4", "--tune", "--grid", "0:10"],
+     "--grid must be lo:hi:step in degrees"),
+    (["decompose", "--ranks", "4,4,4", "--tune", "--grid", "10:0:1"],
+     "--grid must be increasing with positive step"),
+    (["tune", "--ranks", "4,4,4", "--reps", "0"], "--reps must be at least 1"),
+    (["decompose", "--ranks", "4,4,4", "--lambda-deg", "95"],
+     "--lambda-deg must lie in [0, 90)"),
 )
 
 # every option of each subcommand, besides --help
@@ -513,6 +513,46 @@ class TestArguments:
             err = capsys.readouterr().err
             assert err == f"error: {message}\n"
             assert not out.exists()
+
+    def test_missing_block_exit_2(self, tmp_path, capsys):
+        missing = [str(tmp_path / f"missing_{k}.csv") for k in (1, 2, 3)]
+        out = tmp_path / "o"
+        code = run_cli("decompose", "--blocks", *missing, "--ranks", "4,4,4",
+                       "--lambda-deg", "20", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: no such file: {missing[0]}\n"
+        assert not out.exists()
+
+    def test_rank_above_block_size_exit_2(self, generated, tmp_path, capsys):
+        narrow = tmp_path / "narrow.csv"
+        np.savetxt(narrow, np.loadtxt(generated / "X_1.csv", delimiter=",")[:8], delimiter=",")
+        blocks = [str(narrow)] + [str(generated / f"X_{k}.csv") for k in (2, 3)]
+        out = tmp_path / "o"
+        code = run_cli("decompose", "--blocks", *blocks, "--ranks", "9,4,4",
+                       "--lambda-deg", "20", "--center", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: rank 9 out of range for block 1\n"
+        assert not out.exists()
+
+    def test_model_not_a_number_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--model", "abc", "--lambda-deg", "20",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: unknown model 'abc'\n"
+        assert not out.exists()
+
+    def test_numerical_failure_exit_3(self, generated, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "identify", fail)
+        blocks = [str(generated / f"X_{k}.csv") for k in (1, 2, 3)]
+        code = run_cli("decompose", "--blocks", *blocks, "--ranks", "4,4,4",
+                       "--lambda-deg", "20", "--center", "--out", str(tmp_path / "o"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: SVD did not converge\n"
+        assert "Traceback" not in err
 
     def test_too_many_blocks_exit_2(self, tmp_path, capsys):
         # the paths do not exist, so the K message shows that none was read

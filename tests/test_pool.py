@@ -50,13 +50,21 @@ def blas_threads_in_worker(_):
     return os.getpid(), _blas_get_threads()()
 
 
+def square(x):
+    return x * x
+
+
 class Recorder:
-    """Stands in for ProcessPoolExecutor: records its arguments, runs inline."""
+    """Stands in for ProcessPoolExecutor: records its arguments, runs the
+    initializer inline, as a worker does, and records the per-job arguments
+    that map would send."""
 
     built = []
+    sent = []
 
-    def __init__(self, max_workers, initializer=None, initargs=()):
+    def __init__(self, max_workers, initializer, initargs):
         Recorder.built.append((max_workers, initializer, initargs))
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -65,13 +73,18 @@ class Recorder:
         return False
 
     def map(self, fn, *iterables):
-        return map(fn, *iterables)
+        Recorder.sent = [list(it) for it in iterables]
+        return map(fn, *Recorder.sent)
 
 
 @pytest.fixture()
 def recorder(monkeypatch):
-    Recorder.built = []
+    """The recorded pools; the inline initializer leaves this process's BLAS
+    and worker function as they were."""
+    Recorder.built, Recorder.sent = [], []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(simgen, "_set_blas_threads", lambda count: None)
+    monkeypatch.setattr(simgen, "_worker_fn", None)
     return Recorder.built
 
 
@@ -87,26 +100,24 @@ def test_import_leaves_the_pool_unloaded():
 
 @pytest.mark.parametrize("threads,n_jobs", [(2, 2), (2, 5), (8, 3), (3, 8)])
 def test_pool_is_sized_to_the_jobs(recorder, threads, n_jobs):
-    jobs = [(i, 10 * i) for i in range(n_jobs)]
-    assert _pool_map(pow, jobs, threads) == [pow(a, b) for a, b in jobs]
+    assert _pool_map(square, list(range(n_jobs)), threads) == [i * i for i in range(n_jobs)]
     workers = min(threads, n_jobs)
-    assert recorder == [(workers, simgen._set_blas_threads,
-                         (max(1, _usable_cores() // workers),))]
+    assert recorder == [(workers, simgen._start_worker,
+                         (max(1, _usable_cores() // workers), square))]
 
 
 @pytest.mark.parametrize("threads,n_jobs", [(1, 5), (4, 1), (4, 0)])
 def test_one_worker_runs_serially(recorder, threads, n_jobs):
-    jobs = [(i, 2) for i in range(n_jobs)]
-    assert _pool_map(pow, jobs, threads) == [i * i for i in range(n_jobs)]
+    assert _pool_map(square, list(range(n_jobs)), threads) == [i * i for i in range(n_jobs)]
     assert recorder == []
 
 
 def test_blas_share_divides_the_usable_cores(recorder, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4, 5, 6})
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    _pool_map(pow, [(2, 3)] * 5, 2)
-    _pool_map(pow, [(2, 3)] * 9, 8)
-    assert [initargs for _, _, initargs in recorder] == [(3,), (1,)]
+    _pool_map(square, [2] * 5, 2)
+    _pool_map(square, [2] * 9, 8)
+    assert [initargs for _, _, initargs in recorder] == [(3, square), (1, square)]
 
 
 def test_usable_cores_reads_the_affinity_mask(monkeypatch):
@@ -131,7 +142,7 @@ def test_workers_get_their_share_of_blas_threads(get_threads, monkeypatch):
     for var in simgen._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     before = get_threads()
-    out = _pool_map(blas_threads_in_worker, [(i,) for i in range(4)], 2)
+    out = _pool_map(blas_threads_in_worker, list(range(4)), 2)
     assert {count for _, count in out} == {max(1, _usable_cores() // 2)}
     assert len({pid for pid, _ in out} - {os.getpid()}) in (1, 2)
     assert get_threads() == before  # the parent keeps its own count
@@ -139,7 +150,7 @@ def test_workers_get_their_share_of_blas_threads(get_threads, monkeypatch):
 
 def test_user_blas_threads_are_kept(get_threads, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(get_threads()))
-    out = _pool_map(blas_threads_in_worker, [(i,) for i in range(2)], 2)
+    out = _pool_map(blas_threads_in_worker, list(range(2)), 2)
     assert [count for _, count in out] == [get_threads()] * 2
 
 
@@ -147,6 +158,19 @@ def test_missing_symbol_leaves_blas_alone(get_threads, monkeypatch):
     for var in simgen._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setattr(simgen, "_BLAS_SET_THREADS", ("no_such_set_threads",))
+    before = get_threads()
+    simgen._set_blas_threads(before + 1)
+    assert get_threads() == before
+
+
+def test_unopenable_blas_handle_leaves_blas_alone(get_threads, monkeypatch):
+    for var in simgen._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+    def refuse(path):
+        raise OSError(f"cannot open {path}")
+
+    monkeypatch.setattr(ctypes, "CDLL", refuse)
     before = get_threads()
     simgen._set_blas_threads(before + 1)
     assert get_threads() == before
@@ -183,41 +207,22 @@ def scale_by(shared, factor, x):
     return factor * x
 
 
-class StartingRecorder(Recorder):
-    """A Recorder that also runs the initializer inline, as a worker does,
-    and records the per-job arguments that map would send."""
-
-    sent = []
-
-    def __init__(self, max_workers, initializer=None, initargs=()):
-        super().__init__(max_workers, initializer, initargs)
-        initializer(*initargs)
-
-    def map(self, fn, *iterables):
-        StartingRecorder.sent = [list(it) for it in iterables]
-        return map(fn, *StartingRecorder.sent)
-
-
-def test_shared_arguments_go_through_the_initializer(monkeypatch):
-    Recorder.built = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StartingRecorder)
-    monkeypatch.setattr(simgen, "_set_blas_threads", lambda count: None)
-    monkeypatch.setattr(simgen, "_worker_fn", None)
+def test_shared_arguments_go_through_the_initializer(recorder):
     fn = functools.partial(scale_by, RefusesPickling(), 3)
-    assert _pool_map(fn, [(i,) for i in range(5)], 2) == [3 * i for i in range(5)]
-    assert Recorder.built == [(2, simgen._start_worker, (max(1, _usable_cores() // 2), fn))]
-    assert StartingRecorder.sent == [[0, 1, 2, 3, 4]]  # each job sends only its own argument
+    assert _pool_map(fn, list(range(5)), 2) == [3 * i for i in range(5)]
+    assert recorder == [(2, simgen._start_worker, (max(1, _usable_cores() // 2), fn))]
+    assert Recorder.sent == [[0, 1, 2, 3, 4]]  # each job sends only its own argument
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="only the fork start method hands the initializer over unpickled")
 def test_forked_workers_get_the_shared_arguments_unpickled():
     fn = functools.partial(scale_by, RefusesPickling(), 2)
-    assert _pool_map(fn, [(i,) for i in range(4)], 2) == [0, 2, 4, 6]
+    assert _pool_map(fn, list(range(4)), 2) == [0, 2, 4, 6]
     assert simgen._worker_fn is None  # nothing stays behind in the parent
 
 
 def test_serial_path_calls_the_partial_directly(recorder):
     fn = functools.partial(scale_by, RefusesPickling(), 5)
-    assert _pool_map(fn, [(1,), (2,)], 1) == [5, 10]
+    assert _pool_map(fn, [1, 2], 1) == [5, 10]
     assert recorder == [] and simgen._worker_fn is None

@@ -57,8 +57,8 @@ def _read_csv_matrix(path: str) -> np.ndarray:
         # on a file without data rows loadtxt only warns
         if not first_is_data and not any(line.strip() for line in fh):
             raise ConfigError(f"{path} contains no data")
-    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    return data
+        fh.seek(0)
+        return np.loadtxt(fh, delimiter=",", skiprows=skip, ndmin=2)
 
 
 def _write_csv_matrix(path: str, M: np.ndarray, header: str | None = None) -> None:

@@ -74,7 +74,10 @@ class SignalEstimate:
 
     factor: np.ndarray             # p_k x r, X_k V_k
     score_basis: OrthonormalBasis  # n x r right singular vectors V_k
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return self.score_basis.r
 
     @property
     def zhat(self) -> np.ndarray:
@@ -115,7 +118,7 @@ def extract_signal(X: np.ndarray, rank: int, check_centering: bool = True) -> Si
         warnings.warn("block rows are not centered; results assume row-centered data")
     V = _top_right_vectors(X, rank)
     basis = OrthonormalBasis(np.column_stack([_fix_sign(v) for v in V.T]))
-    return SignalEstimate(factor=X @ basis.columns, score_basis=basis, rank=rank)
+    return SignalEstimate(factor=X @ basis.columns, score_basis=basis)
 
 
 @dataclass(frozen=True)
@@ -334,13 +337,16 @@ def identify_path(
 
 @dataclass(eq=False)
 class UniquenessReport:
-    relative_independence: bool
     relative_orthogonality: bool
     absolute_orthogonality: bool
     layer_independence: dict          # layer size -> bool
     failure: tuple | None             # (layer, IndexSet, witness direction)
     layer_subspaces: dict             # layer size -> OrthonormalBasis of [I_l]
     complement_bases: dict            # IndexSet -> OrthonormalBasis of [J_i]
+
+    @property
+    def relative_independence(self) -> bool:
+        return all(self.layer_independence.values())
 
 
 def _pair_intersection(A: np.ndarray, B: np.ndarray, cos_tol: float) -> np.ndarray:
@@ -369,7 +375,10 @@ def _span_sum(parts, n) -> np.ndarray:
     return orthonormalize(np.hstack(nonzero), 1e-8).columns
 
 
-def _uniqueness_report(exact_bases, ordering: IndexOrdering, tol: float) -> UniquenessReport:
+def check_relative_independence(exact_bases, ordering: IndexOrdering,
+                                tol: float = INTERSECTION_COS_TOL) -> UniquenessReport:
+    """Every uniqueness condition of the exact score subspaces, in one report;
+    ``check_absolute_orthogonality`` is this same function."""
     blocks = [b.columns if isinstance(b, OrthonormalBasis) else np.asarray(b, float)
               for b in exact_bases]
     K = ordering.K
@@ -379,7 +388,6 @@ def _uniqueness_report(exact_bases, ordering: IndexOrdering, tol: float) -> Uniq
 
     inter = {s: _intersection(blocks, s.members, tol) for s in ordering}
 
-    rel_indep = True
     rel_orth = True
     rule5_holds = True
     layer_indep: dict = {}
@@ -415,10 +423,8 @@ def _uniqueness_report(exact_bases, ordering: IndexOrdering, tol: float) -> Uniq
             if np.linalg.norm(diff) > ORTHO_CHECK_TOL:
                 rule5_holds = False
         layer_indep[layer] = layer_ok
-        rel_indep = rel_indep and layer_ok
 
     return UniquenessReport(
-        relative_independence=rel_indep,
         relative_orthogonality=rel_orth,
         absolute_orthogonality=rel_orth and rule5_holds,
         layer_independence=layer_indep,
@@ -428,13 +434,4 @@ def _uniqueness_report(exact_bases, ordering: IndexOrdering, tol: float) -> Uniq
     )
 
 
-def check_relative_independence(exact_bases, ordering: IndexOrdering,
-                                tol: float = INTERSECTION_COS_TOL) -> UniquenessReport:
-    """Layer-wise linear-independence check of the deflated intersection subspaces."""
-    return _uniqueness_report(exact_bases, ordering, tol)
-
-
-def check_absolute_orthogonality(exact_bases, ordering: IndexOrdering,
-                                 tol: float = INTERSECTION_COS_TOL) -> UniquenessReport:
-    """Relative orthogonality plus the per-index projector equality."""
-    return _uniqueness_report(exact_bases, ordering, tol)
+check_absolute_orthogonality = check_relative_independence

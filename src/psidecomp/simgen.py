@@ -290,15 +290,14 @@ class RepetitionOutcome:
 
 
 def run_once(model: SimulationModel, seed: int, angle_threshold: float | None = None,
-             grid: Sequence[float] | None = None, loading_seed: int | None = None,
-             joint_orthonormal: bool = True) -> RepetitionOutcome:
+             grid: Sequence[float] | None = None,
+             loading_seed: int | None = None) -> RepetitionOutcome:
     """Generate one dataset, fit the full pipeline, and score it against truth.
 
     With ``angle_threshold`` given the threshold is fixed; otherwise it is
     selected by data splitting over ``grid`` (default 0..89 degrees).
     """
-    truth = generate(model, seed, joint_orthonormal=joint_orthonormal,
-                     loading_seed=loading_seed)
+    truth = generate(model, seed, loading_seed=loading_seed)
     data = truth.dataset()
     ranks = model.block_ranks()
     t0 = time.perf_counter()

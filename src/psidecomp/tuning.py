@@ -169,7 +169,8 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
     ``whole_path`` is ``identify_path`` over ``grid`` on the whole data's
     signals at ``ranks``. It depends on neither the split nor the seed, so a
     caller that tunes one dataset several times computes it once and passes
-    it in; when it is None it is computed here.
+    it in; when it is None it is computed here. A path over another grid
+    raises ValueError.
     """
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
@@ -218,8 +219,12 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
         whole_path = identify_path(whole_signals, ordering, grid)
     dists, whole_results = [], []
     for i0, i1, res in whole_path:
+        if i0 != len(dists) or not i0 < i1 <= grid.size or res.angle_threshold != grid[i0]:
+            raise ValueError("whole_path must be identify_path over this grid")
         dists += [dissimilarity(structure_train, res.structure)] * (i1 - i0)
         whole_results += [res] * (i1 - i0)
+    if len(dists) != grid.size:
+        raise ValueError("whole_path must be identify_path over this grid")
     dissim_curve = [(float(lam), d) for lam, d in zip(grid, dists)]
     i_hat = int(np.argmin(dists))
     lambda_hat = float(grid[i_hat])
@@ -239,14 +244,9 @@ def mode_structure(structures: Sequence[PartialJointStructure]):
     if not structures:
         raise ValueError("no structures to aggregate")
     keys = [tuple(sorted(to_binary_multiset(s).items())) for s in structures]
-    counts = Counter(keys)
-    best_key = None
-    best_count = -1
-    for key in keys:  # first-seen order
-        if counts[key] > best_count:
-            best_key, best_count = key, counts[key]
-    winner = structures[keys.index(best_key)]
-    return winner, best_count
+    # a Counter keeps first-seen order, and most_common keeps it among ties
+    (best_key, best_count), = Counter(keys).most_common(1)
+    return structures[keys.index(best_key)], best_count
 
 
 def _curve_rows(result: TuningResult) -> list[str]:

@@ -143,7 +143,7 @@ def test_criterion_3_uniqueness_fixtures():
     from psidecomp import SignalEstimate
 
     def signals(bases):
-        return [SignalEstimate(np.zeros((2, b.r)), b, b.r) for b in bases]
+        return [SignalEstimate(np.zeros((2, b.r)), b) for b in bases]
 
     ord_a = default_ordering(3)
     ord_b = ordering_from_lists(

@@ -32,7 +32,7 @@ from cases import (
 
 def signals_from_bases(bases):
     n = bases[0].n
-    return [SignalEstimate(factor=np.zeros((2, b.r)), score_basis=b, rank=b.r)
+    return [SignalEstimate(factor=np.zeros((2, b.r)), score_basis=b)
             for b in bases]
 
 
@@ -189,7 +189,7 @@ class TestIdentify:
         angle = np.deg2rad(8.0)
         v1 = np.cos(angle / 2) * shared + np.sin(angle / 2) * tilt
         v2 = np.cos(angle / 2) * shared - np.sin(angle / 2) * tilt
-        sigs = [SignalEstimate(np.zeros((2, 1)), OrthonormalBasis(v.reshape(-1, 1)), 1)
+        sigs = [SignalEstimate(np.zeros((2, 1)), OrthonormalBasis(v.reshape(-1, 1)))
                 for v in (v1, v2)]
         accepted = []
         for lam_deg in (1.0, 3.0, 4.5, 6.0, 20.0):
@@ -231,8 +231,8 @@ class TestIdentify:
         assert max(angles) <= 1e-12
 
     def test_sample_dimension_mismatch_rejected(self):
-        a = SignalEstimate(np.zeros((2, 1)), OrthonormalBasis(np.eye(4)[:, :1]), 1)
-        b = SignalEstimate(np.zeros((2, 1)), OrthonormalBasis(np.eye(5)[:, :1]), 1)
+        a = SignalEstimate(np.zeros((2, 1)), OrthonormalBasis(np.eye(4)[:, :1]))
+        b = SignalEstimate(np.zeros((2, 1)), OrthonormalBasis(np.eye(5)[:, :1]))
         with pytest.raises(ValueError):
             identify([a, b], default_ordering(2), 0.1)
 
@@ -364,6 +364,26 @@ class TestIdentifyInvariances:
             P = (B.columns @ B.columns.T)[np.ix_(perm, perm)]
             C = res.scores[subset].columns
             assert np.max(np.abs(C @ C.T - P), initial=0.0) <= 1e-10
+
+    @pytest.mark.parametrize("block", (1, 2, 3))
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    @pytest.mark.parametrize("model_id", range(1, 7))
+    def test_rotating_a_blocks_variables_keeps_the_projectors(self, model_id, seed, block):
+        # X_k -> O X_k leaves the row space of X_k, and so every score
+        # subspace, as it was
+        lam = np.deg2rad(20)
+        O, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((80, 80)))
+        _, base = benchmark_fit(model_id, seed, lam=lam)
+        lo, hi = base.stable_interval
+        if min(lam - lo, hi - lam) < 1e-6:
+            pytest.skip("the threshold is within rounding of a structure change")
+        _, res = benchmark_fit(model_id, seed, lambda k, X: O @ X if k == block else X,
+                               lam=lam)
+        assert res.structure.entries == base.structure.entries
+        assert res.scores.keys() == base.scores.keys()
+        for subset, B in base.scores.items():
+            C = res.scores[subset].columns
+            assert np.max(np.abs(C @ C.T - B.columns @ B.columns.T), initial=0.0) <= 1e-10
 
 
 class TestStackedScores:

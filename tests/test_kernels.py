@@ -357,7 +357,7 @@ class TestGramFlagMean:
 
 
 def signals_of_bases(bases):
-    return [SignalEstimate(np.zeros((2, b.r)), b, b.r) for b in bases]
+    return [SignalEstimate(np.zeros((2, b.r)), b) for b in bases]
 
 
 class TestGateSharesCoefficients:

@@ -55,6 +55,26 @@ def test_given_whole_path_matches_computed(model_id):
                 == hat_built.stacked_scores()[0].tobytes())
 
 
+def test_whole_path_on_another_grid_is_rejected():
+    # Read by index on the 1-degree grid, the 5-degree path gave lambda_hat 4
+    # degrees (19 is right) and 18 dissimilarities instead of 90; the reverse
+    # pairing indexed past the end of the grid. A path cut short is no better.
+    model = small_model(6)
+    truth = generate(model, 1000)
+    data, ranks = truth.dataset(), model.block_ranks()
+    signals = signals_of(truth, ranks)
+    fine = default_grid()
+    coarse = np.deg2rad(np.arange(0.0, 90.0, 5.0))
+    fine_path = identify_path(signals, model.ordering, fine)
+    for grid, path in ((fine, identify_path(signals, model.ordering, coarse)),
+                       (coarse, fine_path), (fine, fine_path[:-1])):
+        with pytest.raises(ValueError, match="whole_path"):
+            select_lambda(data, ranks, model.ordering, grid, 1000, whole_path=path)
+    tuned = select_lambda(data, ranks, model.ordering, fine, 1000)
+    assert np.rad2deg(tuned.lambda_hat) == pytest.approx(19.0)
+    assert len(tuned.dissimilarity_curve) == fine.size
+
+
 def test_resume_computes_fewer_flag_means(monkeypatch):
     calls = [0]
     flag_mean = core._flag_mean_refined

@@ -37,7 +37,6 @@ from .structure import (
     structure_to_dict,
 )
 from .tuning import _curve_rows, default_grid, mode_structure, select_lambda
-from .subspace import NothingToPeel
 
 
 class ConfigError(ValueError):
@@ -376,10 +375,7 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (np.linalg.LinAlgError, FloatingPointError, NothingToPeel) as exc:
+    except np.linalg.LinAlgError as exc:  # a ValueError, so it is caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError) as exc:

@@ -8,12 +8,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .structure import IndexOrdering, IndexSet, PartialJointStructure
 from .subspace import (
+    PEEL_TOL,
     OrthonormalBasis,
     _complement,
     _deflate_cols,
@@ -130,12 +132,11 @@ class AcceptanceRecord:
     degenerate: bool           # flag-mean top singular value was (near-)tied
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DecompositionResult:
     """Estimated partially-joint structure and per-index-set score bases."""
 
-    structure: PartialJointStructure
-    scores: dict
+    scores: dict  # IndexSet -> OrthonormalBasis
     angle_threshold: float
     ordering: IndexOrdering
     diagnostics: tuple[AcceptanceRecord, ...] = field(default_factory=tuple)
@@ -143,6 +144,13 @@ class DecompositionResult:
     # threshold in (lo, hi]. lo is the largest max-angle among accepted
     # candidates (-1 if none), hi the smallest among rejected ones (inf if none).
     stable_interval: tuple[float, float] = (-1.0, np.inf)
+
+    @cached_property
+    def structure(self) -> PartialJointStructure:
+        """(index-set, rank of its score basis) for each scored set, in ordering order."""
+        return PartialJointStructure(
+            tuple((s, self.scores[s].r) for s in self.ordering if s in self.scores),
+            self.ordering.K)
 
     def stacked_scores(self, block: int | None = None):
         """(n x r score matrix, per-column index-set labels).
@@ -162,41 +170,24 @@ class DecompositionResult:
 class _Checkpoint:
     """The state of an ``identify`` run just before one of its gates.
 
-    ``stage`` indexes the ordering; ``work`` and ``claimed`` are shallow
-    copies taken at the gate. ``finished`` ((index-set, basis) per finished
-    stage) and ``records`` are the run's own append-only lists, of which the
-    first ``n_finished`` and ``n_records`` entries existed at the gate. ``gate``
-    is the candidate that was rejected there, as (w, degenerate, angles, c)
-    with c the participants' coefficients B_i^T w, so a resume decides it
-    again without recomputing its flag mean; it is None for the start of a run.
+    ``stage`` indexes the ordering; ``work``, ``claimed``, ``finished``
+    ((index-set, basis) per finished stage) and ``records`` are copies taken
+    at the gate. ``gate`` is the candidate that was rejected there, as (w,
+    degenerate, angles, c) with c the participants' coefficients B_i^T w, so a
+    resume decides it again without recomputing its flag mean; it is None for
+    the start of a run.
     """
 
     stage: int
     work: tuple
     claimed: tuple
-    finished: list
-    n_finished: int
-    records: list
-    n_records: int
+    finished: tuple
+    records: tuple
     hi: float
     gate: tuple | None = None
 
     def passes(self, angle_threshold: float) -> bool:
         return self.gate is None or all(a < angle_threshold for a in self.gate[2])
-
-
-def _check_signals(signals: Sequence[SignalEstimate], ordering: IndexOrdering) -> None:
-    if len(signals) != ordering.K:
-        raise ValueError(f"ordering expects {ordering.K} blocks, got {len(signals)}")
-    n = signals[0].score_basis.n
-    for sig in signals:
-        if sig.score_basis.n != n:
-            raise ValueError("all blocks must share the sample dimension n")
-
-
-def _start(signals: Sequence[SignalEstimate]) -> _Checkpoint:
-    work = tuple(np.array(sig.score_basis.columns) for sig in signals)
-    return _Checkpoint(0, work, (), [], 0, [], 0, np.inf)
 
 
 def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Checkpoint):
@@ -209,8 +200,8 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
     K = ordering.K
     n = signals[0].score_basis.n
     work = list(cp.work)
-    finished = cp.finished[:cp.n_finished]
-    records = cp.records[:cp.n_records]
+    finished = list(cp.finished)
+    records = list(cp.records)
     hi = cp.hi
     gate = cp.gate
     rejected = []
@@ -235,11 +226,11 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
                     (w, degenerate, angles, c), gate = gate, None
                 if not all(a < angle_threshold for a in angles):
                     rejected.append(_Checkpoint(
-                        stage, tuple(work), tuple(claimed), finished, len(finished),
-                        records, len(records), hi, (w, degenerate, angles, c)))
+                        stage, tuple(work), tuple(claimed), tuple(finished),
+                        tuple(records), hi, (w, degenerate, angles, c)))
                     hi = min(hi, max(angles))
                     break
-                if any(math.sqrt(ci @ ci) <= 1e-12 for ci in c):
+                if any(math.sqrt(ci @ ci) <= PEEL_TOL for ci in c):
                     # Nothing to peel: the stage ends as a failed gate would,
                     # whatever the threshold, so neither bound moves.
                     break
@@ -255,9 +246,8 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
         finished.append((subset, OrthonormalBasis(mat)))
 
     lo = max((max(rec.angles) for rec in records), default=-1.0)
-    structure = PartialJointStructure(tuple((s, b.r) for s, b in finished), K)
-    result = DecompositionResult(structure, dict(finished), float(angle_threshold),
-                                 ordering, tuple(records), (float(lo), float(hi)))
+    result = DecompositionResult(dict(finished), float(angle_threshold), ordering,
+                                 tuple(records), (float(lo), float(hi)))
     return result, rejected
 
 
@@ -280,15 +270,12 @@ def identify(
     left of its block's basis verbatim.
 
     Every gate compares a candidate's largest angle with the threshold, so
-    the result is the same for every threshold in ``stable_interval``. The
-    run saves a checkpoint before each gate it rejects, which is what
-    ``identify_path`` resumes from; ``identify`` itself is a resume from the
-    empty checkpoint.
+    the result is the same for every threshold in ``stable_interval``.
+    ``identify`` is ``identify_path`` at this one threshold.
     """
     if not 0.0 <= angle_threshold < np.pi / 2:
         raise ValueError("angle threshold must lie in [0, pi/2)")
-    _check_signals(signals, ordering)
-    return _resume(signals, ordering, angle_threshold, _start(signals))[0]
+    return identify_path(signals, ordering, [angle_threshold])[0][2]
 
 
 def identify_path(
@@ -317,9 +304,14 @@ def identify_path(
         raise ValueError("grid must be strictly increasing")
     if not np.all((grid >= 0.0) & (grid < np.pi / 2)):
         raise ValueError("grid values must lie in [0, pi/2)")
-    _check_signals(signals, ordering)
+    if len(signals) != ordering.K:
+        raise ValueError(f"ordering expects {ordering.K} blocks, got {len(signals)}")
+    n = signals[0].score_basis.n
+    if any(sig.score_basis.n != n for sig in signals):
+        raise ValueError("all blocks must share the sample dimension n")
+    work = tuple(np.array(sig.score_basis.columns) for sig in signals)
     path = []
-    saved = [_start(signals)]
+    saved = [_Checkpoint(0, work, (), (), (), np.inf)]
     i = 0
     while i < grid.size:
         k = next(k for k, cp in enumerate(saved) if cp.passes(grid[i]))

@@ -33,10 +33,8 @@ class SimulationModel:
     """Ground-truth structure, per-component signal variances, and noise level."""
 
     name: str
-    K: int
     n: int
     block_sizes: tuple[int, ...]
-    ordering: IndexOrdering
     structure: PartialJointStructure
     signal_variances: dict    # IndexSet -> tuple of r variances
     snr: float                # math.inf encodes the noiseless regime
@@ -51,18 +49,24 @@ class SimulationModel:
             if r == 0 and var:
                 raise ValueError(f"variances given for rank-0 entry {subset}")
 
+    @property
+    def K(self) -> int:
+        return self.structure.K
+
+    @property
+    def ordering(self) -> IndexOrdering:
+        return default_ordering(self.K)
+
     def block_ranks(self) -> tuple[int, ...]:
         return tuple(self.structure.block_rank(k) for k in range(1, self.K + 1))
 
 
 def _model(name, ranks_by_set, variances, *, n, p, snr, K=3):
-    ordering = default_ordering(K)
-    entries = tuple((s, ranks_by_set.get(s.members, 0)) for s in ordering)
-    structure = PartialJointStructure(entries, K)
+    entries = tuple((s, ranks_by_set.get(s.members, 0)) for s in default_ordering(K))
     var_map = {IndexSet(m): tuple(v) for m, v in variances.items()}
     return SimulationModel(
-        name=name, K=K, n=n, block_sizes=(p,) * K, ordering=ordering,
-        structure=structure, signal_variances=var_map, snr=snr,
+        name=name, n=n, block_sizes=(p,) * K, structure=PartialJointStructure(entries, K),
+        signal_variances=var_map, snr=snr,
     )
 
 

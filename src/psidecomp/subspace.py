@@ -54,6 +54,9 @@ CHEB_RES_RTOL = 1e-13
 CHEB_GAP_RTOL = 1e-3
 CHEB_NULL_RTOL = 1e-12
 CHEB_SEED = 0  # fixed start block, so the result is deterministic
+# A direction whose coefficients B^T w have norm at or below this has nothing
+# to peel from span(B): deflate raises, and an identify stage ends there.
+PEEL_TOL = 1e-12
 
 
 class NothingToPeel(ValueError):
@@ -315,7 +318,7 @@ def deflate(B: OrthonormalBasis, w: UnitDirection) -> OrthonormalBasis:
     if B.r == 0:
         raise NothingToPeel("cannot deflate the zero subspace")
     c = B.columns.T @ w.vector
-    if float(np.linalg.norm(c)) <= 1e-12:
+    if float(np.linalg.norm(c)) <= PEEL_TOL:
         raise NothingToPeel("direction is orthogonal to the subspace")
     return OrthonormalBasis(_deflate_cols(B.columns, w.vector, c))
 

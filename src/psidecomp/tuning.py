@@ -19,7 +19,8 @@ import numpy as np
 
 # identify is still bound here: the benchmark's tracer and its tests look it
 # up in every module that imports it by name.
-from .core import MultiBlockDataset, extract_signal, identify, identify_path  # noqa: F401
+from .core import (  # noqa: F401
+    DecompositionResult, MultiBlockDataset, extract_signal, identify, identify_path)
 from .structure import (
     IndexOrdering,
     PartialJointStructure,
@@ -138,10 +139,14 @@ def _heldout_risk(pieces: list, result) -> float:
 class TuningResult:
     lambda_tilde: float                     # train/test risk minimizer (radians)
     structure_train: PartialJointStructure  # training structure at lambda_tilde
-    lambda_hat: float                       # whole-data structure match (radians)
     risk_curve: tuple                       # ((lambda, risk), ...)
     dissimilarity_curve: tuple              # ((lambda, d), ...)
-    decomposition_hat: object = None        # whole-data result at lambda_hat
+    decomposition_hat: DecompositionResult  # whole-data result at lambda_hat
+
+    @property
+    def lambda_hat(self) -> float:
+        """Whole-data structure match (radians)."""
+        return self.decomposition_hat.angle_threshold
 
 
 def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
@@ -227,15 +232,13 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
         raise ValueError("whole_path must be identify_path over this grid")
     dissim_curve = [(float(lam), d) for lam, d in zip(grid, dists)]
     i_hat = int(np.argmin(dists))
-    lambda_hat = float(grid[i_hat])
 
     return TuningResult(
         lambda_tilde=lambda_tilde,
         structure_train=structure_train,
-        lambda_hat=lambda_hat,
         risk_curve=tuple(risk_curve),
         dissimilarity_curve=tuple(dissim_curve),
-        decomposition_hat=replace(whole_results[i_hat], angle_threshold=lambda_hat),
+        decomposition_hat=replace(whole_results[i_hat], angle_threshold=float(grid[i_hat])),
     )
 
 
@@ -251,9 +254,8 @@ def mode_structure(structures: Sequence[PartialJointStructure]):
 
 def _curve_rows(result: TuningResult) -> list[str]:
     """One ``lambda_degrees<TAB>risk<TAB>dissimilarity`` line per grid point."""
-    dissim = dict(result.dissimilarity_curve)
-    return [f"{np.rad2deg(lam):.6g}\t{risk:.12g}\t{dissim.get(lam, '')}"
-            for lam, risk in result.risk_curve]
+    return [f"{np.rad2deg(lam):.6g}\t{risk:.12g}\t{d}"
+            for (lam, risk), (_, d) in zip(result.risk_curve, result.dissimilarity_curve)]
 
 
 def write_curves_tsv(result: TuningResult, path) -> None:

@@ -4,7 +4,7 @@
 
 import numpy as np
 
-from psidecomp import OrthonormalBasis
+from psidecomp import OrthonormalBasis, SignalEstimate
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -44,6 +44,11 @@ def non_absolutely_orthogonal_bases():
     V3 = np.array([[S2, S2, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]], dtype=float).T
     V4 = np.array([[S2, S2, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]], dtype=float).T
     return [OrthonormalBasis(V) for V in (V1, V2, V3, V4)]
+
+
+def signals_of_bases(bases):
+    """Signal estimates with the given score bases (the factor is a dummy)."""
+    return [SignalEstimate(np.zeros((2, b.r)), b) for b in bases]
 
 
 def random_basis(rng, n, r):

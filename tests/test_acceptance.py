@@ -37,6 +37,7 @@ from cases import (
     dependent_bases,
     independent_bases,
     non_absolutely_orthogonal_bases,
+    signals_of_bases,
 )
 
 
@@ -140,26 +141,21 @@ def test_criterion_3_uniqueness_fixtures():
 
     # rank profiles of the independent fixture agree across the two printed
     # same-size singleton permutations
-    from psidecomp import SignalEstimate
-
-    def signals(bases):
-        return [SignalEstimate(np.zeros((2, b.r)), b) for b in bases]
-
     ord_a = default_ordering(3)
     ord_b = ordering_from_lists(
         [[1, 2, 3], [1, 2], [1, 3], [2, 3], [2], [1], [3]], 3)
     prof_a = {s.members: r for s, r in
-              identify(signals(independent_bases()), ord_a, 1e-6).structure.entries}
+              identify(signals_of_bases(independent_bases()), ord_a, 1e-6).structure.entries}
     prof_b = {s.members: r for s, r in
-              identify(signals(independent_bases()), ord_b, 1e-6).structure.entries}
+              identify(signals_of_bases(independent_bases()), ord_b, 1e-6).structure.entries}
     ok_profiles = prof_a == prof_b
 
     # degenerate fixture reproduces both printed structures
-    res_1 = identify(signals(dependent_bases()), ord_a, 1e-6)
+    res_1 = identify(signals_of_bases(dependent_bases()), ord_a, 1e-6)
     want_1 = make_structure(3, {(1, 2, 3): 1, (1,): 1, (2,): 1, (3,): 1})
     ord_c = ordering_from_lists(
         [[1, 2, 3], [1, 2], [1, 3], [2, 3], [3], [2], [1]], 3)
-    res_2 = identify(signals(dependent_bases()), ord_c, 1e-6)
+    res_2 = identify(signals_of_bases(dependent_bases()), ord_c, 1e-6)
     want_2 = make_structure(3, {(1, 2, 3): 1, (2,): 1, (3,): 2})
     ok_structures = (structures_equal(res_1.structure, want_1)
                      and structures_equal(res_2.structure, want_2)

@@ -7,7 +7,6 @@ from psidecomp import (
     DecompositionResult,
     IndexSet,
     OrthonormalBasis,
-    PartialJointStructure,
     SignalEstimate,
     check_absolute_orthogonality,
     check_relative_independence,
@@ -27,13 +26,8 @@ from cases import (
     dependent_bases,
     independent_bases,
     non_absolutely_orthogonal_bases,
+    signals_of_bases,
 )
-
-
-def signals_from_bases(bases):
-    n = bases[0].n
-    return [SignalEstimate(factor=np.zeros((2, b.r)), score_basis=b)
-            for b in bases]
 
 
 def rank_map(result):
@@ -105,7 +99,7 @@ class TestMultiBlockDataset:
 
 class TestIdentify:
     def test_shared_axis_fixture_structure(self):
-        res = identify(signals_from_bases(independent_bases()),
+        res = identify(signals_of_bases(independent_bases()),
                        default_ordering(3), 1e-6)
         assert rank_map(res) == {(1, 2, 3): 1, (1, 2): 0, (1, 3): 0,
                                  (2, 3): 0, (1,): 1, (2,): 1, (3,): 1}
@@ -123,7 +117,7 @@ class TestIdentify:
         assert all(ranks[m] == 0 for m in [(1, 2, 3), (1, 2), (1, 3), (2, 3)])
 
     def test_degenerate_fixture_depends_on_singleton_order(self):
-        sigs = signals_from_bases(dependent_bases())
+        sigs = signals_of_bases(dependent_bases())
         res_default = identify(sigs, default_ordering(3), 1e-6)
         assert rank_map(res_default) == {(1, 2, 3): 1, (1, 2): 0, (1, 3): 0,
                                          (2, 3): 0, (1,): 1, (2,): 1, (3,): 1}
@@ -134,7 +128,7 @@ class TestIdentify:
         assert ranks[(3,)] == 2 and ranks[(2,)] == 1 and ranks[(1,)] == 0
 
     def test_rank_profile_invariant_for_independent_fixture(self):
-        sigs = signals_from_bases(independent_bases())
+        sigs = signals_of_bases(independent_bases())
         alt = ordering_from_lists(
             [[1, 2, 3], [1, 2], [1, 3], [2, 3], [2], [1], [3]], 3)
         ranks_a = rank_map(identify(sigs, default_ordering(3), 1e-6))
@@ -142,7 +136,7 @@ class TestIdentify:
         assert ranks_a == ranks_b
 
     def test_threshold_domain(self):
-        sigs = signals_from_bases(independent_bases())
+        sigs = signals_of_bases(independent_bases())
         for bad in (-0.1, np.pi / 2, 2.0):
             with pytest.raises(ValueError):
                 identify(sigs, default_ordering(3), bad)
@@ -199,7 +193,7 @@ class TestIdentify:
         assert accepted[0] == 0 and accepted[-1] == 1
 
     def test_acceptance_angles_recorded(self):
-        sigs = signals_from_bases(independent_bases())
+        sigs = signals_of_bases(independent_bases())
         res = identify(sigs, default_ordering(3), np.deg2rad(5))
         assert len(res.diagnostics) == 1
         rec = res.diagnostics[0]
@@ -237,7 +231,7 @@ class TestIdentify:
             identify([a, b], default_ordering(2), 0.1)
 
     def test_block_count_must_match_ordering(self):
-        sigs = signals_from_bases(independent_bases())
+        sigs = signals_of_bases(independent_bases())
         with pytest.raises(ValueError):
             identify(sigs[:2], default_ordering(3), 0.1)
 
@@ -401,16 +395,25 @@ class TestStackedScores:
             assert W.tobytes() == np.hstack([res.scores[s].columns for s in members]).tobytes()
 
     def test_block_without_positive_rank_set_is_empty(self):
-        structure = PartialJointStructure(
-            ((IndexSet.of(1, 2), 0), (IndexSet.of(1), 1), (IndexSet.of(2), 0)), 2)
         scores = {IndexSet.of(1, 2): OrthonormalBasis(np.zeros((5, 0))),
                   IndexSet.of(1): OrthonormalBasis(np.eye(5)[:, :1]),
                   IndexSet.of(2): OrthonormalBasis(np.zeros((5, 0)))}
-        res = DecompositionResult(structure, scores, 0.1, default_ordering(2))
+        res = DecompositionResult(scores, 0.1, default_ordering(2))
         W, labels = res.stacked_scores(2)
         assert W.shape == (5, 0) and labels == []
         W, labels = res.stacked_scores()
         assert W.shape == (5, 1) and labels == [IndexSet.of(1)]
+
+    def test_structure_is_read_from_the_scores(self):
+        # A structure stored beside the scores could give {1} rank 0 next to a
+        # rank-1 {1} basis, and the layout would drop that column.
+        scores = {IndexSet.of(1, 2): OrthonormalBasis(np.eye(5)[:, :1]),
+                  IndexSet.of(1): OrthonormalBasis(np.eye(5)[:, 1:2]),
+                  IndexSet.of(2): OrthonormalBasis(np.zeros((5, 0)))}
+        res = DecompositionResult(scores, 0.1, default_ordering(2))
+        W, labels = res.stacked_scores()
+        assert W.shape == (5, 2) and labels == [IndexSet.of(1, 2), IndexSet.of(1)]
+        assert res.structure.total_rank() == 2
 
 
 class TestUniquenessChecks:

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from psidecomp import (
     IndexSet,
-    SignalEstimate,
     default_ordering,
     deflate,
     extract_signal,
@@ -43,6 +42,8 @@ from psidecomp.subspace import (
     orthonormalize,
 )
 from psidecomp.tuning import split
+
+from cases import signals_of_bases
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -354,10 +355,6 @@ class TestGramFlagMean:
             assert sizes[0] == m
             assert all(k == shared for k in sizes[1:])
             assert all(_sine(b, w, b.T @ w) <= 1e-12 for b in blocks)  # w is shared
-
-
-def signals_of_bases(bases):
-    return [SignalEstimate(np.zeros((2, b.r)), b) for b in bases]
 
 
 class TestGateSharesCoefficients:

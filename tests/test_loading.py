@@ -7,7 +7,6 @@ from psidecomp import (
     DecompositionResult,
     IndexSet,
     OrthonormalBasis,
-    PartialJointStructure,
     default_ordering,
     estimate_loadings,
     extract_signal,
@@ -85,11 +84,9 @@ class TestEstimateLoadings:
         e1 = np.array([[1.0], [0.0], [0.0], [0.0], [0.0]])
         tilted = np.array([[1.0], [1.0], [0.0], [0.0], [0.0]]) / math.sqrt(2.0)
         ordering = default_ordering(2)
-        structure = PartialJointStructure(
-            ((IndexSet.of(1, 2), 1), (IndexSet.of(1), 1), (IndexSet.of(2), 0)), 2)
         scores = {IndexSet.of(1, 2): OrthonormalBasis(e1),
                   IndexSet.of(1): OrthonormalBasis(tilted)}
-        result = DecompositionResult(structure, scores, 0.1, ordering)
+        result = DecompositionResult(scores, 0.1, ordering)
         rng = np.random.default_rng(0)
         signals = [extract_signal(rng.standard_normal((4, 5)), r, check_centering=False)
                    for r in (2, 1)]

@@ -94,6 +94,21 @@ class TestIdentifyPath:
             identify_path(signals, model.ordering, [0.3, 0.2])
 
 
+class TestPathRecords:
+    @pytest.mark.parametrize("model_id", range(1, 7))
+    def test_structure_lists_every_scored_set_in_ordering_order(self, model_id):
+        model = model_preset(model_id, snr=15.0, n=120, block_size=80)
+        for seed in SEEDS:
+            truth = generate(model, seed)
+            for cols in (slice(None), list(split(model.n, seed).train)):
+                signals = [extract_signal(X[:, cols], r, check_centering=False)
+                           for X, r in zip(truth.blocks, model.block_ranks())]
+                for _, _, res in identify_path(signals, model.ordering, default_grid()):
+                    assert list(res.scores) == list(model.ordering)
+                    assert res.structure.entries == tuple(
+                        (s, res.scores[s].r) for s in model.ordering)
+
+
 class TestStableInterval:
     @pytest.mark.parametrize("model_id", range(1, 7))
     def test_result_constant_on_interval(self, model_id):

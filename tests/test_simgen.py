@@ -228,8 +228,7 @@ class TestMetrics:
             for k in subset.members:
                 if (k, subset) in new_blocks:
                     new_blocks[(k, subset)] = loads.blocks[(k, subset)] @ R
-        res2 = type(res)(res.structure, new_scores, res.angle_threshold,
-                         res.ordering, res.diagnostics)
+        res2 = type(res)(new_scores, res.angle_threshold, res.ordering, res.diagnostics)
         loads2 = type(loads)(blocks=new_blocks, block_sizes=loads.block_sizes)
         assert metric_rse(truth, loads2, res2) == pytest.approx(base, rel=1e-10)
 

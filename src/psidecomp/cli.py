@@ -43,21 +43,30 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_csv_matrix(path: str) -> np.ndarray:
-    with open(path) as fh:
-        first = fh.readline()
-        fields = [f.strip() for f in first.strip().split(",") if f.strip() != ""]
-        skip = 0
+    # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports start with
+    with open(path, encoding="utf-8-sig") as fh:
         try:
-            [float(f) for f in fields]
-        except ValueError:
-            skip = 1
-        first_is_data = bool(fields) and not skip
-        # on a file without data rows loadtxt only warns
-        if not first_is_data and not any(line.strip() for line in fh):
-            raise ConfigError(f"{path} contains no data")
-        fh.seek(0)
-        return np.loadtxt(fh, delimiter=",", skiprows=skip, ndmin=2)
+            numeric = [_is_number(f) for f in fh.readline().split(",") if f.strip()]
+            if any(numeric) and not all(numeric):
+                raise ValueError("row 1 mixes numbers and text")
+            # on a file without data rows loadtxt only warns
+            if any(numeric) or any(line.strip() for line in fh):
+                fh.seek(0)
+                # row 1 is a header when it has fields and none is a number
+                header = bool(numeric) and not any(numeric)
+                return np.loadtxt(fh, delimiter=",", skiprows=int(header), ndmin=2)
+        except ValueError as exc:  # UnicodeDecodeError is one
+            raise ConfigError(f"{path}: {exc}") from None
+    raise ConfigError(f"{path} contains no data")
 
 
 def _write_csv_matrix(path: str, M: np.ndarray, header: str | None = None) -> None:
@@ -115,9 +124,16 @@ def _parse_grid(text: str) -> np.ndarray:
 def _load_ordering(spec_text: str, K: int):
     if spec_text == "default":
         return default_ordering(K)
-    with open(spec_text) as fh:
-        lists = json.load(fh)
-    return ordering_from_lists(lists, K)
+    try:
+        with open(spec_text) as fh:
+            lists = json.load(fh)
+        # type() rather than isinstance: True is an int, and IndexSet would take it as 1
+        if not (type(lists) is list and all(
+                type(s) is list and all(type(m) is int for m in s) for s in lists)):
+            raise ValueError("not a JSON list of lists of integers")
+        return ordering_from_lists(lists, K)
+    except ValueError as exc:
+        raise ConfigError(f"--ordering {spec_text}: {exc}") from None
 
 
 def _resolve_model(args):
@@ -145,6 +161,8 @@ def _check_args(args) -> None:
     """Check every argument that needs no data block, before any is read, and
     store the resolved values on ``args``: ``lam`` (radians; None tunes),
     ``grid``, ``threads``, ``ranks`` (None for --var-prop), ``ordering``, ``model``."""
+    if args.seed < 0:
+        raise ConfigError("--seed must be a non-negative integer")
     if getattr(args, "reps", 1) < 1:
         raise ConfigError("--reps must be at least 1")
     if hasattr(args, "tune"):

@@ -183,26 +183,22 @@ class _Checkpoint:
     claimed: tuple
     finished: tuple
     records: tuple
-    hi: float
     gate: tuple | None = None
-
-    def passes(self, angle_threshold: float) -> bool:
-        return self.gate is None or all(a < angle_threshold for a in self.gate[2])
 
 
 def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Checkpoint):
     """Run ``identify`` from checkpoint ``cp`` on.
 
-    Returns the result and the checkpoints of the gates this run rejected, in
-    order. The result equals ``identify`` from the start whenever every gate
-    before ``cp`` decides the same way at ``angle_threshold``.
+    Returns the scores, the accepted records and the checkpoints of the gates
+    this run rejected, in order. They equal those of ``identify`` from the
+    start whenever every gate before ``cp`` decides the same way at
+    ``angle_threshold``.
     """
     K = ordering.K
     n = signals[0].score_basis.n
     work = list(cp.work)
     finished = list(cp.finished)
     records = list(cp.records)
-    hi = cp.hi
     gate = cp.gate
     rejected = []
 
@@ -227,12 +223,11 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
                 if not all(a < angle_threshold for a in angles):
                     rejected.append(_Checkpoint(
                         stage, tuple(work), tuple(claimed), tuple(finished),
-                        tuple(records), hi, (w, degenerate, angles, c)))
-                    hi = min(hi, max(angles))
+                        tuple(records), (w, degenerate, angles, c)))
                     break
                 if any(math.sqrt(ci @ ci) <= PEEL_TOL for ci in c):
                     # Nothing to peel: the stage ends as a failed gate would,
-                    # whatever the threshold, so neither bound moves.
+                    # whatever the threshold, so no checkpoint is kept.
                     break
                 for i, ci in zip(idx, c):
                     work[i] = _deflate_cols(work[i], w, ci)
@@ -244,11 +239,7 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
                 if other not in idx:
                     work[other] = _complement(work[other], w[:, None])
         finished.append((subset, OrthonormalBasis(mat)))
-
-    lo = max((max(rec.angles) for rec in records), default=-1.0)
-    result = DecompositionResult(dict(finished), float(angle_threshold), ordering,
-                                 tuple(records), (float(lo), float(hi)))
-    return result, rejected
+    return dict(finished), tuple(records), rejected
 
 
 def identify(
@@ -311,13 +302,19 @@ def identify_path(
         raise ValueError("all blocks must share the sample dimension n")
     work = tuple(np.array(sig.score_basis.columns) for sig in signals)
     path = []
-    saved = [_Checkpoint(0, work, (), (), (), np.inf)]
+    saved = [_Checkpoint(0, work, (), (), ())]
     i = 0
     while i < grid.size:
-        k = next(k for k, cp in enumerate(saved) if cp.passes(grid[i]))
-        result, rejected = _resume(signals, ordering, grid[i], saved[k])
+        k = next(k for k, cp in enumerate(saved)
+                 if cp.gate is None or max(cp.gate[2]) < grid[i])
+        scores, records, rejected = _resume(signals, ordering, grid[i], saved[k])
         saved = saved[:k] + rejected
-        j = int(np.searchsorted(grid, result.stable_interval[1], side="right"))
+        # the result's bounds: its accepted gates and the rejected ones kept
+        lo = max((max(rec.angles) for rec in records), default=-1.0)
+        hi = min((max(cp.gate[2]) for cp in saved), default=np.inf)
+        result = DecompositionResult(scores, float(grid[i]), ordering, records,
+                                     (float(lo), float(hi)))
+        j = int(np.searchsorted(grid, hi, side="right"))
         path.append((i, j, result))
         i = j
     return path

@@ -61,13 +61,12 @@ class SimulationModel:
         return tuple(self.structure.block_rank(k) for k in range(1, self.K + 1))
 
 
-def _model(name, ranks_by_set, variances, *, n, p, snr, K=3):
+def _model(name, ranks_by_set, variances, *, n, p, snr):
+    K = max(map(max, ranks_by_set))  # the largest block index in any index-set
     entries = tuple((s, ranks_by_set.get(s.members, 0)) for s in default_ordering(K))
-    var_map = {IndexSet(m): tuple(v) for m, v in variances.items()}
     return SimulationModel(
         name=name, n=n, block_sizes=(p,) * K, structure=PartialJointStructure(entries, K),
-        signal_variances=var_map, snr=snr,
-    )
+        signal_variances={IndexSet(m): tuple(v) for m, v in variances.items()}, snr=snr)
 
 
 def model_preset(model_id: int, snr: float = math.inf,

@@ -580,6 +580,18 @@ class TestArguments:
         assert capsys.readouterr().err == "error: --snr must be positive or inf\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", (
+        ["decompose", "--blocks", "missing_1.csv", "--ranks", "4", "--lambda-deg", "20"],
+        ["tune", "--blocks", "missing_1.csv", "missing_2.csv", "--ranks", "4,4"],
+        ["simulate", "--model", "2", "--lambda-deg", "20", "--n", "40", "--p", "30"],
+        ["generate", "--model", "2", "--n", "40", "--p", "30"]))
+    def test_negative_seed_exit_2(self, tmp_path, capsys, argv):
+        # the block paths do not exist, so the message shows that none was read
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--seed", "-1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer\n"
+        assert not out.exists()
+
     def test_p_unset_means_preset_default(self, tmp_path):
         for model, p in (("2", 200), ("joint_strong", 100)):
             out = tmp_path / model
@@ -621,3 +633,68 @@ class TestBlasThreads:
                                 for p in sorted(out.rglob("*")) if p.is_file()}
         assert len(written["1"]) == 8
         assert written["1"] == written["2"]
+
+
+class TestCsvInput:
+    def test_bom_and_header_copies_read_as_the_plain_csvs(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_cli("generate", "--model", "6", "--snr", "15", "--seed", "2000",
+                       "--out", str(data)) == 0
+        written = {}
+        # a spreadsheet "CSV UTF-8" export starts with a byte-order mark
+        for tag, prefix in (("plain", ""), ("bom", "\ufeff"), ("header", "s1,s2\n"),
+                            ("bom_header", "\ufeffs1,s2\n")):
+            blocks = []
+            for k in (1, 2, 3):
+                blocks.append(tmp_path / tag / f"X_{k}.csv")
+                blocks[-1].parent.mkdir(exist_ok=True)
+                blocks[-1].write_text(prefix + (data / f"X_{k}.csv").read_text(),
+                                      encoding="utf-8")
+            out = tmp_path / f"out_{tag}"
+            assert run_cli("decompose", "--blocks", *map(str, blocks), "--ranks", "8,8,8",
+                           "--lambda-deg", "20", "--out", str(out)) == 0
+            written[tag] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(written["plain"]) == 6
+        for tag in ("bom", "header", "bom_header"):
+            assert written[tag] == written["plain"], tag
+
+    @pytest.mark.parametrize("text", ("1,x,3\n4,5,6\n",     # a typo in row 1
+                                      "1,2,3\n4,5\n",       # a ragged row
+                                      "1,2,3\n4,y,6\n"))    # a bad cell
+    def test_malformed_csv_exit_2_names_the_file(self, generated, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        blocks = [str(generated / "X_1.csv"), str(bad), str(generated / "X_3.csv")]
+        code = run_cli("decompose", "--blocks", *blocks, "--ranks", "4,4,4",
+                       "--lambda-deg", "20", "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert "Traceback" not in err
+
+
+class TestOrderingFile:
+    @pytest.mark.parametrize("text", (
+        "5", "[null]",
+        "[[1, 2, 3], [1, 2], [1, 3], [2, 3], [1], [2], [3.7]]",
+        "[[1, 2, 3], [1, 2], [1, 3], [2, 3], [true], [2], [3]]"))
+    def test_not_a_list_of_integer_lists_exit_2(self, tmp_path, capsys, text):
+        ordering = tmp_path / "ordering.json"
+        ordering.write_text(text)
+        # the block paths do not exist, so the file is refused before any is read
+        missing = [str(tmp_path / f"missing_{k}.csv") for k in (1, 2, 3)]
+        code = run_cli("decompose", "--blocks", *missing, "--ranks", "4,4,4",
+                       "--lambda-deg", "20", "--ordering", str(ordering),
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --ordering {ordering}: not a JSON list of lists of integers\n")
+
+    def test_malformed_json_exit_2_names_the_file(self, tmp_path, capsys):
+        ordering = tmp_path / "ordering.json"
+        ordering.write_text("[[1, 2")
+        missing = [str(tmp_path / f"missing_{k}.csv") for k in (1, 2, 3)]
+        code = run_cli("tune", "--blocks", *missing, "--ranks", "4,4,4",
+                       "--ordering", str(ordering), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: --ordering {ordering}: ")

@@ -51,6 +51,30 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def _bad_line(fh, header: bool) -> str | None:
+    """Where np.loadtxt failed and why: the first data line, numbered from 1
+    over the whole file with its header and blank lines, that has a field
+    that is not a number or another field count than the first data line;
+    None when no line has either."""
+    fh.seek(0)
+    first = None
+    for number, line in enumerate(fh, start=1):
+        # loadtxt drops a comment after "#", then skips the line if nothing is left
+        text = line.rstrip("\r\n").split("#", 1)[0]
+        if not text or (header and number == 1):
+            continue
+        fields = text.split(",")
+        first = first or (number, len(fields))
+        if len(fields) != first[1]:
+            return (f"line {number}: the number of columns changed from {first[1]} "
+                    f"(line {first[0]}) to {len(fields)}")
+        for column, field in enumerate(fields, start=1):
+            if not _is_number(field):
+                return (f"line {number}, column {column}: could not convert string "
+                        f"{field.strip()!r} to float64")
+    return None
+
+
 def _read_csv_matrix(path: str) -> np.ndarray:
     # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports start with
     with open(path, encoding="utf-8-sig") as fh:
@@ -63,7 +87,11 @@ def _read_csv_matrix(path: str) -> np.ndarray:
                 fh.seek(0)
                 # row 1 is a header when it has fields and none is a number
                 header = bool(numeric) and not any(numeric)
-                return np.loadtxt(fh, delimiter=",", skiprows=int(header), ndmin=2)
+                try:
+                    return np.loadtxt(fh, delimiter=",", skiprows=int(header), ndmin=2)
+                except ValueError as exc:
+                    # loadtxt numbers its rows two ways, neither counting the header
+                    raise ValueError(_bad_line(fh, header) or exc) from None
         except ValueError as exc:  # UnicodeDecodeError is one
             raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path} contains no data")
@@ -211,20 +239,18 @@ def _load_dataset(args) -> MultiBlockDataset:
         if args.center:
             X -= X.mean(axis=1, keepdims=True)
         blocks.append(X)
-    widths = {b.shape[1] for b in blocks}
-    if len(widths) != 1:
-        raise ConfigError("matched samples required")
+    data = MultiBlockDataset(tuple(blocks))  # raises "matched samples required"
     if not args.center:
-        for i, b in enumerate(blocks):
+        for i, b in enumerate(data.blocks):
             if not is_row_centered(b):
                 print(f"warning: block {i + 1} rows are not centered "
                       "(use --center to apply row centering)", file=sys.stderr)
-    for path, scale, b in zip(args.blocks, scales, blocks):
+    for path, scale, b in zip(args.blocks, scales, data.blocks):
         # centering a constant row leaves rounding residue, not exact zeros
         if np.all(_row_absmax(b) <= 1e-12 * scale):
             after = " after row centering" if args.center else ""
             raise ConfigError(f"{path} is all zeros{after}")
-    return MultiBlockDataset(tuple(blocks))
+    return data
 
 
 def _load_signals(args):

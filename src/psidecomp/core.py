@@ -339,29 +339,19 @@ class UniquenessReport:
 
 
 def _pair_intersection(A: np.ndarray, B: np.ndarray, cos_tol: float) -> np.ndarray:
-    if A.shape[1] == 0 or B.shape[1] == 0:
-        return np.zeros((A.shape[0], 0))
-    U, s, _ = np.linalg.svd(A.T @ B)
-    shared = U[:, s > 1.0 - cos_tol]
-    if shared.shape[1] == 0:
-        return np.zeros((A.shape[0], 0))
-    return orthonormalize(A @ shared, 1e-8).columns
+    U, s, _ = np.linalg.svd(A.T @ B, full_matrices=False)
+    return orthonormalize(A @ U[:, s > 1.0 - cos_tol], 1e-8).columns
 
 
 def _intersection(blocks, members, cos_tol) -> np.ndarray:
     cols = blocks[members[0] - 1]
     for m in members[1:]:
         cols = _pair_intersection(cols, blocks[m - 1], cos_tol)
-        if cols.shape[1] == 0:
-            break
     return cols
 
 
 def _span_sum(parts, n) -> np.ndarray:
-    nonzero = [p for p in parts if p.shape[1] > 0]
-    if not nonzero:
-        return np.zeros((n, 0))
-    return orthonormalize(np.hstack(nonzero), 1e-8).columns
+    return orthonormalize(np.hstack([np.zeros((n, 0)), *parts]), 1e-8).columns
 
 
 def check_relative_independence(exact_bases, ordering: IndexOrdering,

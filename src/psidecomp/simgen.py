@@ -308,13 +308,11 @@ def run_once(model: SimulationModel, seed: int, angle_threshold: float | None = 
                for X, r in zip(data.blocks, ranks)]
     if angle_threshold is not None:
         result = identify(signals, model.ordering, angle_threshold)
-        lam = float(angle_threshold)
     else:
         grid = default_grid() if grid is None else grid
         tuned = select_lambda(data, ranks, model.ordering, grid, seed,
                               whole_path=identify_path(signals, model.ordering, grid))
         result = tuned.decomposition_hat
-        lam = tuned.lambda_hat
     loads = estimate_loadings(signals, result)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     acc = metric_accuracy(result.structure, model.structure)
@@ -323,7 +321,7 @@ def run_once(model: SimulationModel, seed: int, angle_threshold: float | None = 
     return RepetitionOutcome(
         model=model.name, snr=model.snr, seed=int(seed), accuracy=acc,
         rse=rse, theta_U=theta_u, theta_W=theta_w, wall_ms=wall_ms,
-        lambda_deg=float(np.degrees(lam)),
+        lambda_deg=float(np.degrees(result.angle_threshold)),
     )
 
 

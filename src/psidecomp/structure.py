@@ -9,6 +9,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Integral
 from typing import Iterable
 
 # multiset of K-length 0/1 tuples, one copy per latent component
@@ -28,6 +29,9 @@ class IndexSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
+        # int() would read 3.7 as block 3, True as block 1 and "2" as block 2
+        if not all(isinstance(m, Integral) and not isinstance(m, bool) for m in self.members):
+            raise ValueError(f"block indices must be integers, got {self.members!r}")
         members = tuple(sorted(set(int(m) for m in self.members)))
         if not members:
             raise ValueError("an index-set must be nonempty")

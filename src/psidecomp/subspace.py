@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 ORTHONORMAL_TOL = 1e-10  # entrywise tolerance on B^T B - I before a QR re-pass
-# _right_vectors and the flag mean keep V = X^T U / s only when V^T V is this
+# _right_vectors, the one map from a small Gram's eigenvectors to sample space
+# (wide blocks and the flag mean), keeps V = X^T U / s only when V^T V is this
 # close to I. Well below ORTHONORMAL_TOL: scores built from V must meet that
 # bound, and a V accepted at it left stacked scores 1.06e-10 off orthonormal.
 DIVISION_TOL = 1e-14
@@ -69,22 +70,20 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0 else v
 
 
-def _right_vectors(X: np.ndarray, wide: bool, s: np.ndarray, U: np.ndarray):
-    """Right singular vectors of X from the top k eigenvectors U of its Gram
-    matrix and the matching singular values s (length k).
+def _right_vectors(X: np.ndarray, s: np.ndarray, U: np.ndarray):
+    """Right singular vectors of X from the top k eigenvectors U of X X^T and
+    the matching singular values s (length k): V = X^T U / s.
 
-    On the tall side U already holds them. On the wide side U holds the left
-    ones, mapped by V = X^T U / s. Where that division loses orthonormality
-    beyond DIVISION_TOL (s near or past the numerical rank), V is
-    re-orthonormalized by a QR of X^T U instead, which keeps the leading
-    directions and completes the basis past the rank.
+    The one map from a small Gram's eigenvectors to sample space, for a wide
+    block's score basis and for the flag mean (X = H^T). Where the division
+    loses orthonormality beyond DIVISION_TOL (s near or past the numerical
+    rank), V is re-orthonormalized by a QR of X^T U instead, which keeps the
+    leading directions and completes the basis past the rank.
     """
-    if not wide:
-        return U
     XtU = X.T @ U
     if s[-1] > 0.0:
         V = XtU / s
-        if np.max(np.abs(V.T @ V - np.eye(s.size))) <= DIVISION_TOL:
+        if np.abs(V.T @ V - np.eye(s.size)).max() <= DIVISION_TOL:
             return V
     return np.linalg.qr(XtU)[0]
 
@@ -95,7 +94,7 @@ def _top_right_vectors(X: np.ndarray, k: int) -> np.ndarray:
     side: X X^T when X is wide (n > p), else X^T X."""
     wide = X.shape[1] > X.shape[0]
     theta, U = _top_eigvecs(X @ X.T if wide else X.T @ X, k)
-    return _right_vectors(X, wide, np.sqrt(np.maximum(theta, 0.0)), U)
+    return _right_vectors(X, np.sqrt(np.maximum(theta, 0.0)), U) if wide else U
 
 
 def _top_eigvecs(G: np.ndarray, k: int):
@@ -282,20 +281,14 @@ def _flag_mean_refined(blocks):
     mixture. Returns (direction, degenerate_flag).
 
     One eigh of H^T H, H = hstack(blocks), serves both: its eigenvalues give
-    the singular values s of H that decide the tie, and H maps its top
-    eigenvectors u to the left singular vectors H u / s.
+    the singular values s of H that decide the tie, and _right_vectors maps
+    its top eigenvectors, one or the tied ones, to left singular vectors of H.
     """
     H = np.concatenate(blocks, axis=1)
     vals, vecs = np.linalg.eigh(H.T @ H)
     s = np.sqrt(np.maximum(vals[::-1], 0.0))
     tied = np.count_nonzero(s >= s[0] * (1.0 - TIE_RTOL))
-    if tied <= 1:
-        Hu = H @ vecs[:, -1]
-        w = Hu / s[0]
-        if not abs(w @ w - 1.0) <= DIVISION_TOL:
-            w = Hu / np.linalg.norm(Hu)
-        return _fix_sign(w), False
-    T = _right_vectors(H.T, True, s[:tied], vecs[:, ::-1][:, :tied])
+    T = _right_vectors(H.T, s[:tied], vecs[:, ::-1][:, :tied])
     for cols in blocks:
         if T.shape[1] == 1:
             break
@@ -303,7 +296,7 @@ def _flag_mean_refined(blocks):
         vals, vecs = np.linalg.eigh(G @ G.T)
         keep = vals >= vals[-1] - 1e-9
         T = T @ vecs[:, keep]
-    return _fix_sign(T[:, 0]), True
+    return _fix_sign(T[:, 0]), bool(tied > 1)
 
 
 def deflate(B: OrthonormalBasis, w: UnitDirection) -> OrthonormalBasis:

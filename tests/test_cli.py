@@ -673,6 +673,37 @@ class TestCsvInput:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("text, reason", (
+        # file lines count from 1, with the header, blank and comment lines
+        ("1,2,3\n4,5,6\n7,x,9\n", "line 3, column 2: could not convert string 'x' to float64"),
+        ("1,2,3\n4,5,6\n7,9\n", "line 3: the number of columns changed from 3 (line 1) to 2"),
+        ("a,b,c\n1,2,3\n4,5,6\n7,x,9\n",
+         "line 4, column 2: could not convert string 'x' to float64"),
+        ("a,b,c\n1,2,3\n4,5,6\n7,9\n",
+         "line 4: the number of columns changed from 3 (line 2) to 2"),
+        ("1,2,3\n\n4,5,6\n# note\n7, y ,9\n",
+         "line 5, column 2: could not convert string 'y' to float64"),
+        ("1,2,3\n\n4,5,6\n  \n7,8,9\n",
+         "line 4: the number of columns changed from 3 (line 1) to 1"),
+        ("\ufeffa,b\n1,2\n3,4,\n", "line 3: the number of columns changed from 2 (line 2) to 3"),
+        ("1,2,\n", "line 1, column 3: could not convert string '' to float64"),
+    ))
+    def test_parse_error_names_the_file_line(self, tmp_path, text, reason):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(cli.ConfigError) as err:
+            cli._read_csv_matrix(str(bad))
+        assert str(err.value) == f"{bad}: {reason}"
+
+    def test_unlocated_parse_error_keeps_loadtxt_message(self, tmp_path):
+        # float() reads "1_0" as 10 where np.loadtxt refuses it
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2\n1_0,3\n")
+        with pytest.raises(cli.ConfigError) as err:
+            cli._read_csv_matrix(str(bad))
+        assert str(err.value).startswith(f"{bad}: could not convert string '1_0'")
+
+
 class TestOrderingFile:
     @pytest.mark.parametrize("text", (
         "5", "[null]",

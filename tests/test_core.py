@@ -18,6 +18,7 @@ from psidecomp import (
     identify_path,
     model_preset,
     ordering_from_lists,
+    orthonormalize,
 )
 from psidecomp.core import MultiBlockDataset
 
@@ -461,6 +462,48 @@ class TestUniquenessChecks:
         basis = OrthonormalBasis(np.eye(3)[:, :2])
         rep = check_absolute_orthogonality([basis], default_ordering(1))
         assert rep.absolute_orthogonality
+
+    def test_unequal_ranks_share_one_pair_direction(self):
+        # ranks 3, 2, 1: the {1,2} intersection pairs a larger basis with a smaller one
+        rng = np.random.default_rng(4)
+        q = np.linalg.qr(rng.standard_normal((7, 5)))[0]
+        cols = [q[:, [0, 1, 2]], q[:, [0, 3]], q[:, [4]]]
+        # mix each block's columns, so the shared direction is no column of its basis
+        bases = [OrthonormalBasis(c @ np.linalg.qr(rng.standard_normal((c.shape[1],) * 2))[0])
+                 for c in cols]
+        rep = check_relative_independence(bases, default_ordering(3))
+        assert rep.relative_independence and rep.layer_independence == {1: True, 2: True}
+        assert rep.relative_orthogonality and rep.absolute_orthogonality
+        assert rep.failure is None
+        shared = rep.layer_subspaces[1]  # the span of the {1,2} intersection
+        assert shared.r == 1
+        assert abs(shared.columns[:, 0] @ q[:, 0]) > 1 - 1e-12
+        assert rep.layer_subspaces[2].r == 0
+        assert rep.complement_bases[IndexSet.of(1)].r == 1
+        assert rep.complement_bases[IndexSet.of(3)].r == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           atoms=st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                                   min_size=1, max_size=4), min_size=2, max_size=4))
+    def test_verdicts_do_not_depend_on_block_labels(self, seed, atoms):
+        # Block k spans its atoms: (a, a) is the pool direction q_a, planted in
+        # every block that draws it, and (a, b) the mixture q_a + q_b.
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((8, 6)))[0]
+        bases = [orthonormalize(np.column_stack([q[:, a] + (a != b) * q[:, b]
+                                                 for a, b in block]), 1e-8)
+                 for block in atoms]
+        K = len(bases)
+        ordering = default_ordering(K)
+        perm = rng.permutation(K)  # new block i + 1 is old block perm[i] + 1
+        label = {int(old) + 1: new + 1 for new, old in enumerate(perm)}
+        relabelled = ordering_from_lists([[label[m] for m in s] for s in ordering], K)
+        rep = check_relative_independence(bases, ordering)
+        other = check_relative_independence([bases[i] for i in perm], relabelled)
+        for verdict in ("relative_independence", "relative_orthogonality",
+                        "absolute_orthogonality", "layer_independence"):
+            assert getattr(rep, verdict) == getattr(other, verdict), verdict
 
     def test_implication_chain(self):
         for bases, K in [(independent_bases(), 3), (dependent_bases(), 3),

@@ -54,6 +54,19 @@ class TestIndexSet:
     def test_label(self):
         assert IndexSet.of(1, 3).label() == "1|3"
 
+    def test_numpy_integers_accepted(self):
+        assert IndexSet.of(np.int64(3), np.int32(1)).members == (1, 3)
+        assert all(type(m) is int for m in IndexSet.of(np.int64(3)).members)
+
+    @pytest.mark.parametrize("member", (3.7, 2.0, True, np.bool_(True), "2",
+                                        np.float64(2.0), None))
+    def test_non_integer_member_rejected(self, member):
+        # int() would have read 3.7 as block 3, True as block 1 and "2" as block 2
+        for make in (lambda: IndexSet((1, member)), lambda: IndexSet.of(member),
+                     lambda: ordering_from_lists([[1, 2], [1], [member]], 2)):
+            with pytest.raises(ValueError, match="block indices must be integers"):
+                make()
+
 
 class TestDefaultOrdering:
     def test_k2(self):

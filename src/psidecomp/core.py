@@ -41,11 +41,11 @@ class MultiBlockDataset:
         blocks = tuple(np.asarray(b, dtype=float) for b in self.blocks)
         if not blocks:
             raise ValueError("at least one data block is required")
-        n = blocks[0].shape[1]
         for i, b in enumerate(blocks):
             if b.ndim != 2:
                 raise ValueError(f"block {i + 1} is not a matrix")
-            if b.shape[1] != n:
+            # block 1 has passed the check above by now
+            if b.shape[1] != blocks[0].shape[1]:
                 raise ValueError("matched samples required")
             if not np.all(np.isfinite(b)):
                 raise ValueError(f"block {i + 1} contains non-finite entries")

@@ -30,42 +30,48 @@ from .tuning import default_grid, select_lambda
 
 @dataclass(frozen=True, eq=False)
 class SimulationModel:
-    """Ground-truth structure, per-component signal variances, and noise level."""
+    """Block sizes, per-component signal variances, and noise level.
+
+    An index-set's rank is the number of its variances (0 when it has none),
+    and K is the number of blocks; the structure is read from both.
+    """
 
     name: str
     n: int
     block_sizes: tuple[int, ...]
-    structure: PartialJointStructure
     signal_variances: dict    # IndexSet -> tuple of r variances
     snr: float                # math.inf encodes the noiseless regime
 
     def __post_init__(self):
         if not (self.snr > 0):
             raise ValueError("snr must be positive (math.inf for noiseless)")
-        for subset, r in self.structure.entries:
-            var = self.signal_variances.get(subset)
-            if r > 0 and (var is None or len(var) != r):
-                raise ValueError(f"need {r} variances for {subset}")
-            if r == 0 and var:
-                raise ValueError(f"variances given for rank-0 entry {subset}")
+        for subset in self.signal_variances:
+            if not (isinstance(subset, IndexSet) and subset.members[-1] <= self.K):
+                raise ValueError(f"variances given for {subset}, "
+                                 f"which is not an index-set over blocks 1..{self.K}")
+        self.structure  # built now, so a K outside 1..MAX_BLOCKS is refused here too
 
     @property
     def K(self) -> int:
-        return self.structure.K
+        return len(self.block_sizes)
 
     @property
     def ordering(self) -> IndexOrdering:
         return default_ordering(self.K)
 
+    @functools.cached_property
+    def structure(self) -> PartialJointStructure:
+        return PartialJointStructure(
+            tuple((s, len(self.signal_variances.get(s, ()))) for s in self.ordering), self.K)
+
     def block_ranks(self) -> tuple[int, ...]:
         return tuple(self.structure.block_rank(k) for k in range(1, self.K + 1))
 
 
-def _model(name, ranks_by_set, variances, *, n, p, snr):
-    K = max(map(max, ranks_by_set))  # the largest block index in any index-set
-    entries = tuple((s, ranks_by_set.get(s.members, 0)) for s in default_ordering(K))
+def _model(name, variances, *, n, p, snr):
+    K = max(map(max, variances))  # the largest block index in any index-set
     return SimulationModel(
-        name=name, n=n, block_sizes=(p,) * K, structure=PartialJointStructure(entries, K),
+        name=name, n=n, block_sizes=(p,) * K,
         signal_variances={IndexSet(m): tuple(v) for m, v in variances.items()}, snr=snr)
 
 
@@ -73,35 +79,25 @@ def model_preset(model_id: int, snr: float = math.inf,
                  n: int = 200, block_size: int = 200) -> SimulationModel:
     """The six benchmark models (K = 3, every active index-set of rank 2)."""
     presets = {
-        1: ("individuals",
-            {(1,): 2, (2,): 2, (3,): 2},
-            {(1,): (1.4, 0.8), (2,): (1.3, 0.7), (3,): (1.2, 0.6)}),
-        2: ("fully-joint",
-            {(1, 2, 3): 2},
-            {(1, 2, 3): (1.0, 0.9)}),
+        1: ("individuals", {(1,): (1.4, 0.8), (2,): (1.3, 0.7), (3,): (1.2, 0.6)}),
+        2: ("fully-joint", {(1, 2, 3): (1.0, 0.9)}),
         3: ("circular partially-joint",
-            {(1, 2): 2, (1, 3): 2, (2, 3): 2},
             {(1, 2): (1.4, 0.8), (1, 3): (1.3, 0.7), (2, 3): (1.2, 0.6)}),
         4: ("fully-joint plus individuals",
-            {(1, 2, 3): 2, (1,): 2, (2,): 2, (3,): 2},
             {(1, 2, 3): (1.5, 0.8), (1,): (1.4, 0.7), (2,): (1.3, 0.6),
              (3,): (1.2, 0.5)}),
         5: ("fully-joint plus partially-joint",
-            {(1, 2, 3): 2, (1, 2): 2, (1, 3): 2, (2, 3): 2},
             {(1, 2, 3): (1.5, 0.8), (1, 2): (1.4, 0.7), (1, 3): (1.3, 0.6),
              (2, 3): (1.2, 0.5)}),
         6: ("all combinations",
-            {(1, 2, 3): 2, (1, 2): 2, (1, 3): 2, (2, 3): 2,
-             (1,): 2, (2,): 2, (3,): 2},
             {(1, 2, 3): (1.8, 0.8), (1, 2): (1.7, 0.7), (1, 3): (1.6, 0.6),
              (2, 3): (1.5, 0.5), (1,): (1.4, 0.4), (2,): (1.3, 0.3),
              (3,): (1.2, 0.2)}),
     }
     if model_id not in presets:
         raise ValueError(f"unknown model id {model_id}")
-    name, ranks, variances = presets[model_id]
-    return _model(f"model{model_id} ({name})", ranks, variances,
-                  n=n, p=block_size, snr=snr)
+    name, variances = presets[model_id]
+    return _model(f"model{model_id} ({name})", variances, n=n, p=block_size, snr=snr)
 
 
 def imbalanced_preset(which: str, snr: float = math.inf,
@@ -123,15 +119,9 @@ def imbalanced_preset(which: str, snr: float = math.inf,
         individuals = ind_strong
     else:
         raise ValueError(f"unknown imbalanced preset {which!r}")
-    ranks = {(1, 2, 3): 10, (1,): 10, (2,): 10, (3,): 10}
-    variances = {
-        (1, 2, 3): tuple(joint),
-        (1,): tuple(individuals[0]),
-        (2,): tuple(individuals[1]),
-        (3,): tuple(individuals[2]),
-    }
-    return _model(f"imbalanced ({which})", ranks, variances,
-                  n=n, p=block_size, snr=snr)
+    variances = {(1, 2, 3): joint, (1,): individuals[0], (2,): individuals[1],
+                 (3,): individuals[2]}
+    return _model(f"imbalanced ({which})", variances, n=n, p=block_size, snr=snr)
 
 
 @dataclass(eq=False)

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psidecomp import cli
 from psidecomp.cli import _check_args, _load_dataset, build_parser, main
@@ -482,6 +486,13 @@ ARGUMENT_ERRORS = (
     (["tune", "--ranks", "4,4,4", "--reps", "0"], "--reps must be at least 1"),
     (["decompose", "--ranks", "4,4,4", "--lambda-deg", "95"],
      "--lambda-deg must lie in [0, 90)"),
+    (["decompose", "--ranks", "4,4,4", "--tune", "--grid", "0:89:1e-12"],
+     "--grid must have at most 1,000,000 points"),
+    (["decompose", "--ranks", "4,4,4", "--tune", "--grid", "0:89:nan"],
+     "--grid values must be finite"),
+    (["decompose", "--ranks", "4,4,4", "--tune", "--grid", "0:89:inf"],
+     "--grid values must be finite"),
+    (["tune", "--ranks", "4,4,4", "--grid", "0:inf:1"], "--grid values must be finite"),
 )
 
 # every option of each subcommand, besides --help
@@ -599,6 +610,12 @@ class TestArguments:
             truth = json.loads((out / "truth.json").read_text())
             assert set(truth["block_sizes"]) == {p}
 
+    def test_grid_cap_counts_the_points_np_arange_returns(self):
+        # (9.99999 + 0.000005) / 0.00001 rounds up to 1,000,000 points, 10 to 1,000,001
+        assert cli._parse_grid("0:9.99999:0.00001").size == cli.MAX_GRID_POINTS
+        with pytest.raises(cli.ConfigError, match="at most 1,000,000 points"):
+            cli._parse_grid("0:10:0.00001")
+
     @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_help_lists_each_option(self, command):
         env = dict(os.environ)
@@ -609,6 +626,61 @@ class TestArguments:
         assert proc.returncode == 0, proc.stderr
         assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", proc.stdout)) == (
             OPTIONS[command] | {"--help"})
+
+
+# Option values as text: numbers, the edge cases nan, inf, 1e-12, 1e308, 1_0
+# and non-ASCII digits, and any short text.
+EDGE_TEXT = st.sampled_from(("nan", "inf", "-inf", "1e-12", "1e308", "1_0", "\u0661",
+                             "\uff11", "\u0663.\u0665", ""))
+INT_TEXT = st.one_of(st.integers(-3, 10**6).map(str), EDGE_TEXT, st.text(max_size=8))
+FLOAT_TEXT = st.one_of(st.floats().map(repr), EDGE_TEXT, st.text(max_size=8))
+OPTION_TEXT = {
+    "--grid": st.tuples(*[st.sampled_from(("0", "1", "89")) | EDGE_TEXT | FLOAT_TEXT] * 3
+                        ).map(":".join),
+    "--ranks": st.lists(st.just("4") | EDGE_TEXT | INT_TEXT, min_size=3,
+                        max_size=3).map(",".join),
+    "--var-prop": FLOAT_TEXT,
+    "--lambda-deg": FLOAT_TEXT,
+    "--seed": INT_TEXT,
+    "--reps": INT_TEXT,
+    "--threads": INT_TEXT,
+}
+# options that pass every check, so that a run stops at the first missing block
+VALID_OPTIONS = {
+    "decompose": {"--ranks": "4,4,4", "--lambda-deg": "20", "--grid": "0:89:1", "--seed": "3"},
+    "tune": {"--ranks": "4,4,4", "--grid": "0:89:1", "--seed": "3", "--reps": "2",
+             "--threads": "1"},
+}
+
+
+@pytest.fixture(scope="module")
+def missing_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("front_door")
+
+
+class TestFrontDoor:
+    # The block paths do not exist, so no example reads a block, starts a pool
+    # or fits; simulate and generate would run, so they are left out.
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(sorted(VALID_OPTIONS)), data=st.data())
+    def test_any_option_values_exit_2(self, missing_dir, command, data):
+        options = dict(VALID_OPTIONS[command])
+        # change some options of a valid command line: set any value, or drop them
+        for flag in data.draw(st.sets(st.sampled_from(sorted({*options, "--var-prop"})),
+                                      min_size=1), label="changed"):
+            options[flag] = data.draw(st.none() | OPTION_TEXT[flag], label=flag)
+        argv = [command, "--blocks", *(str(missing_dir / f"X_{k}.csv") for k in (1, 2, 3)),
+                "--out", str(missing_dir / "o")]
+        argv += [f"{flag}={value}" for flag, value in options.items() if value is not None]
+        if command == "decompose" and options["--lambda-deg"] is None:
+            argv.append("--tune")
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the value
+                code = exc.code
+        assert code == 2
+        assert not (missing_dir / "o").exists()
 
 
 class TestBlasThreads:
@@ -687,6 +759,11 @@ class TestCsvInput:
          "line 4: the number of columns changed from 3 (line 1) to 1"),
         ("\ufeffa,b\n1,2\n3,4,\n", "line 3: the number of columns changed from 2 (line 2) to 3"),
         ("1,2,\n", "line 1, column 3: could not convert string '' to float64"),
+        # float() reads underscores, loadtxt does not
+        ("a,b\n1,2\n3,4_5\n", "line 3, column 2: could not convert string '4_5' to float64"),
+        # so row 1 is data, not a header, and it is located rather than dropped
+        ("1_000,2_000\n3,4\n",
+         "line 1, column 1: could not convert string '1_000' to float64"),
     ))
     def test_parse_error_names_the_file_line(self, tmp_path, text, reason):
         bad = tmp_path / "bad.csv"
@@ -695,10 +772,35 @@ class TestCsvInput:
             cli._read_csv_matrix(str(bad))
         assert str(err.value) == f"{bad}: {reason}"
 
-    def test_unlocated_parse_error_keeps_loadtxt_message(self, tmp_path):
-        # float() reads "1_0" as 10 where np.loadtxt refuses it
+    @pytest.mark.parametrize("cell", (
+        "1_0", "1_000.5", "1e1_0", "\u0661", "\uff11", "\u0663.\u0665", "\U0001d7d3",
+        "\xb2", " 5 ", "\xa05", "5\u3000", "\x1c5", "\x855", "inf", "-nan", "1e5", ".5",
+        "0x10", "1d5", "+-1", "x"))
+    def test_a_cell_is_located_exactly_when_loadtxt_refuses_it(self, tmp_path, cell):
+        try:
+            np.loadtxt([cell], delimiter=",")
+            refused = False
+        except ValueError:
+            refused = True
+        bad = tmp_path / "cell.csv"
+        bad.write_text(f"1,2\n{cell},3\n", encoding="utf-8")
+        if refused:
+            with pytest.raises(cli.ConfigError) as err:
+                cli._read_csv_matrix(str(bad))
+            assert str(err.value) == (f"{bad}: line 2, column 1: could not convert "
+                                      f"string {cell.strip()!r} to float64")
+        else:
+            assert cli._read_csv_matrix(str(bad)).shape == (2, 2)
+
+    def test_unlocated_parse_error_keeps_loadtxt_message(self, tmp_path, monkeypatch):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n1_0,3\n")
+        with pytest.raises(cli.ConfigError) as err:
+            cli._read_csv_matrix(str(bad))
+        assert str(err.value) == (
+            f"{bad}: line 2, column 1: could not convert string '1_0' to float64")
+        # a failure that the second pass cannot place keeps loadtxt's own message
+        monkeypatch.setattr(cli, "_bad_line", lambda fh, header: None)
         with pytest.raises(cli.ConfigError) as err:
             cli._read_csv_matrix(str(bad))
         assert str(err.value).startswith(f"{bad}: could not convert string '1_0'")

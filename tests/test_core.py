@@ -97,6 +97,15 @@ class TestMultiBlockDataset:
         data = MultiBlockDataset((np.zeros((3, 5)), np.zeros((4, 5))))
         assert data.K == 2 and data.n == 5 and data.block_sizes == (3, 4)
 
+    @pytest.mark.parametrize("blocks, k", (
+        ((np.zeros(5),), 1),
+        ((np.float64(1.0), np.zeros((3, 5))), 1),
+        ((np.zeros((3, 5)), np.zeros(5)), 2),
+    ))
+    def test_block_that_is_not_a_matrix_rejected(self, blocks, k):
+        with pytest.raises(ValueError, match=f"block {k} is not a matrix"):
+            MultiBlockDataset(blocks)
+
 
 class TestIdentify:
     def test_shared_axis_fixture_structure(self):

@@ -5,6 +5,7 @@ import pytest
 
 from psidecomp import (
     IndexSet,
+    SimulationModel,
     default_ordering,
     estimate_loadings,
     extract_signal,
@@ -85,6 +86,40 @@ class TestPresets:
     def test_unknown_imbalanced_tag(self):
         with pytest.raises(ValueError):
             imbalanced_preset("both_strong")
+
+
+class TestSimulationModel:
+    """A model's ranks are the lengths of its variance tuples, and K is the
+    number of its block sizes."""
+
+    def test_variance_key_outside_the_blocks_rejected(self):
+        for key in (IndexSet.of(1, 4), (1, 2)):
+            with pytest.raises(ValueError, match="not an index-set over blocks 1..3"):
+                SimulationModel(name="m", n=20, block_sizes=(10, 10, 10),
+                                signal_variances={key: (1.0,)}, snr=math.inf)
+
+    def test_more_blocks_in_the_variances_than_sizes_rejected(self):
+        m4 = model_preset(4)
+        with pytest.raises(ValueError, match=r"\{1,2,3\}, which is not an index-set"):
+            SimulationModel(name="m", n=200, block_sizes=(40, 40),
+                            signal_variances=m4.signal_variances, snr=math.inf)
+
+    @pytest.mark.parametrize("K", (0, 13))
+    def test_block_count_outside_1_to_12_rejected(self, K):
+        with pytest.raises(ValueError, match="K must be between 1 and 12"):
+            SimulationModel(name="m", n=20, block_sizes=(10,) * K,
+                            signal_variances={IndexSet.of(1): (1.0,)} if K else {},
+                            snr=math.inf)
+
+    def test_empty_variance_tuple_is_rank_zero(self):
+        model = SimulationModel(
+            name="m", n=20, block_sizes=(10, 10, 10),
+            signal_variances={IndexSet.of(1, 2): (), IndexSet.of(3): (1.0, 0.5)},
+            snr=math.inf)
+        assert model.structure.rank_of(IndexSet.of(1, 2)) == 0
+        assert model.structure.rank_of(IndexSet.of(3)) == 2
+        assert model.block_ranks() == (0, 0, 2)
+        assert model.K == 3 and model.ordering.K == 3
 
 
 class TestGenerate:

@@ -56,6 +56,23 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def _float(text: str, kind: type = float):
+    """text as a kind (float or int), or None when it is not a number by the
+    one rule for every number psi reads, from an option or a CSV cell: after
+    strip(), it is ASCII, has no "_", and kind() reads it. "inf" and "nan" are
+    numbers here, so each caller checks the range."""
+    text = text.strip()
+    try:
+        return kind(text) if text.isascii() and "_" not in text else None
+    except ValueError:
+        return None
+
+
+def _int(text: str) -> int | None:
+    """text as an int, or None, by the rule of _float."""
+    return _float(text, int)
+
+
 def _bad_line(fh, header: bool) -> str | None:
     """Where np.loadtxt failed and why: the first data line, numbered from 1
     over the whole file with its header and blank lines, that has a field
@@ -75,8 +92,7 @@ def _bad_line(fh, header: bool) -> str | None:
                     f"(line {first[0]}) to {len(fields)}")
         for column, field in enumerate(fields, start=1):
             cell = field.strip()
-            # float() also reads underscores and non-ASCII digits, which loadtxt refuses
-            if not (cell.isascii() and "_" not in cell and _is_number(cell)):
+            if _float(cell) is None:
                 return (f"line {number}, column {column}: could not convert string "
                         f"{cell!r} to float64")
     return None
@@ -86,6 +102,9 @@ def _read_csv_matrix(path: str) -> np.ndarray:
     # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports start with
     with open(path, encoding="utf-8-sig") as fh:
         try:
+            # The header test alone reads fields with float(), which also takes
+            # "1_000" and non-ASCII digits: a row 1 of such cells is data, and
+            # exits 2 naming line 1, rather than a header that is dropped.
             numeric = [_is_number(f) for f in fh.readline().split(",") if f.strip()]
             if any(numeric) and not all(numeric):
                 raise ValueError("row 1 mixes numbers and text")
@@ -116,17 +135,15 @@ def _write_json(out: str, name: str, payload) -> None:
 
 
 def _parse_ranks(text: str, K: int) -> list[int]:
-    parts = [p for p in text.split(",") if p != ""]
+    parts = text.split(",")
     if len(parts) != K:
         raise ConfigError(f"--ranks needs {K} comma-separated integers")
-    ranks = []
-    for k, p in enumerate(parts, start=1):
-        try:
-            ranks.append(int(p))
-        except ValueError:
+    ranks = [_int(p) for p in parts]
+    for k, (p, rank) in enumerate(zip(parts, ranks), start=1):
+        if rank is None:
             raise ConfigError(f"bad rank value {p!r}")
-        if ranks[-1] < 1:
-            raise ConfigError(f"rank {ranks[-1]} out of range for block {k}")
+        if rank < 1:
+            raise ConfigError(f"rank {rank} out of range for block {k}")
     return ranks
 
 
@@ -143,10 +160,10 @@ def _ranks_from_proportion(blocks, q: float) -> list[int]:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    try:
-        lo, hi, step = (float(x) for x in text.split(":"))
-    except ValueError:
+    values = [_float(x) for x in text.split(":")]
+    if len(values) != 3 or None in values:
         raise ConfigError("--grid must be lo:hi:step in degrees")
+    lo, hi, step = values
     if not all(map(math.isfinite, (lo, hi, step))):
         raise ConfigError("--grid values must be finite")
     if step <= 0 or hi < lo:
@@ -180,55 +197,61 @@ def _resolve_model(args):
     # only the options given reach the preset, which holds the defaults
     given = {key: value for key, value in (("n", args.n), ("block_size", args.p),
                                            ("snr", args.snr)) if value is not None}
-    for flag, key in (("--n", "n"), ("--p", "block_size")):
-        if given.get(key, 1) < 1:
-            raise ConfigError(f"{flag} must be at least 1")
     if "snr" in given:
-        try:
-            given["snr"] = float(given["snr"])  # also parses "inf" and "infinity", in any case
-        except ValueError:
-            given["snr"] = math.nan
-        if not given["snr"] > 0:
+        given["snr"] = _float(given["snr"])  # also reads "inf" and "infinity", in any case
+        if given["snr"] is None or not given["snr"] > 0:
             raise ConfigError("--snr must be positive or inf")
     if args.model in ("joint_strong", "individual_strong"):
         return imbalanced_preset(args.model, **given)
-    try:
-        model_id = int(args.model)
-    except ValueError:
+    model_id = _int(args.model)
+    if model_id is None:
         raise ConfigError(f"unknown model {args.model!r}")
     return model_preset(model_id, **given)
 
 
+# Each option that holds a number, by its argparse dest: its parser, the test
+# of its range, and the rule a value out of range breaks.
+_NUMBER_OPTIONS = {
+    "seed": (_int, lambda v: v >= 0, "be a non-negative integer"),
+    "reps": (_int, lambda v: v >= 1, "be at least 1"),
+    "threads": (_int, lambda v: v >= 1, "be at least 1"),
+    "n": (_int, lambda v: v >= 1, "be at least 1"),
+    "p": (_int, lambda v: v >= 1, "be at least 1"),
+    "lambda_deg": (_float, lambda v: 0.0 <= math.radians(v) < math.pi / 2, "lie in [0, 90)"),
+    "var_prop": (_float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+}
+
+
 def _check_args(args) -> None:
     """Check every argument that needs no data block, before any is read, and
-    store the resolved values on ``args``: ``lam`` (radians; None tunes),
-    ``grid``, ``threads``, ``ranks`` (None for --var-prop), ``ordering``, ``model``."""
-    if args.seed < 0:
-        raise ConfigError("--seed must be a non-negative integer")
-    if getattr(args, "reps", 1) < 1:
-        raise ConfigError("--reps must be at least 1")
+    store the resolved values on ``args``: the numbers of _NUMBER_OPTIONS,
+    ``lam`` (radians; None tunes), ``grid``, ``threads``, ``ranks`` (None for
+    --var-prop), ``ordering``, ``model``."""
+    for dest, (parse, in_range, rule) in _NUMBER_OPTIONS.items():
+        text, flag = getattr(args, dest, None), "--" + dest.replace("_", "-")
+        if text is not None:
+            value = parse(text)
+            if value is None:
+                kind = "an integer" if parse is _int else "a number"
+                raise ConfigError(f"{flag} must be {kind}, not {text!r}")
+            if not in_range(value):
+                raise ConfigError(f"{flag} must {rule}")
+            setattr(args, dest, value)
     if hasattr(args, "tune"):
         # simulate tunes unless a fixed threshold is given
         tune = args.tune or (args.command == "simulate" and args.lambda_deg is None)
         if (args.lambda_deg is not None) == tune:
             raise ConfigError("exactly one of --lambda-deg or --tune is required")
         args.lam = None if tune else math.radians(args.lambda_deg)
-        if not (tune or 0.0 <= args.lam < math.pi / 2):
-            raise ConfigError("--lambda-deg must lie in [0, 90)")
     if hasattr(args, "grid"):
         args.grid = _parse_grid(args.grid) if args.grid else default_grid()
-    if hasattr(args, "threads"):
-        if args.threads is None:
-            args.threads = _usable_cores()
-        elif args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
+    if hasattr(args, "threads") and args.threads is None:
+        args.threads = _usable_cores()
     if hasattr(args, "blocks"):
         if (args.ranks is None) == (args.var_prop is None):
             raise ConfigError("exactly one of --ranks or --var-prop is required")
         if args.ranks is not None:
             args.ranks = _parse_ranks(args.ranks, len(args.blocks))
-        elif not 0.0 < args.var_prop <= 1.0:
-            raise ConfigError("--var-prop must lie in (0, 1]")
         args.ordering = _load_ordering(args.ordering, len(args.blocks))
     if hasattr(args, "model"):
         args.model = _resolve_model(args)
@@ -381,7 +404,7 @@ _OPTION_GROUPS = {
     "data": (
         ("--blocks", dict(nargs="+", required=True, help="CSV files, one per block")),
         ("--ranks", dict(help="comma-separated signal ranks, one per block")),
-        ("--var-prop", dict(type=float, help="pick the smallest ranks reaching "
+        ("--var-prop", dict(help="pick the smallest ranks reaching "
                                              "this variance proportion")),
         ("--ordering", dict(default="default",
                             help="'default' or a JSON file with a list of index-sets")),
@@ -390,17 +413,17 @@ _OPTION_GROUPS = {
     "model": (
         ("--model", dict(required=True, help="1..6 or joint_strong | individual_strong")),
         ("--snr", dict(help="signal-to-noise ratio or 'inf' (default: the preset's)")),
-        ("--n", dict(type=int, help="samples (default: the preset's)")),
-        ("--p", dict(type=int, help="variables per block (default: the preset's)")),
+        ("--n", dict(help="samples (default: the preset's)")),
+        ("--p", dict(help="variables per block (default: the preset's)")),
     ),
     "threshold": (
-        ("--lambda-deg", dict(type=float, help="angle threshold in degrees")),
+        ("--lambda-deg", dict(help="angle threshold in degrees")),
         ("--tune", dict(action="store_true", help="select the threshold by data splitting")),
     ),
     "grid": (("--grid", dict(help="threshold grid lo:hi:step in degrees")),),
-    "reps": (("--reps", dict(type=int, default=1)),),
-    "threads": (("--threads", dict(type=int, help="processes (default: the usable cores)")),),
-    "run": (("--seed", dict(type=int, default=0)), ("--out", dict(required=True))),
+    "reps": (("--reps", dict(default="1")),),
+    "threads": (("--threads", dict(help="processes (default: the usable cores)")),),
+    "run": (("--seed", dict(default="0")), ("--out", dict(required=True))),
 }
 
 

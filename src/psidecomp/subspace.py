@@ -83,7 +83,9 @@ def _right_vectors(X: np.ndarray, s: np.ndarray, U: np.ndarray):
     XtU = X.T @ U
     if s[-1] > 0.0:
         V = XtU / s
-        if np.abs(V.T @ V - np.eye(s.size)).max() <= DIVISION_TOL:
+        deviation = V.T @ V
+        deviation.flat[::s.size + 1] -= 1.0  # V^T V - I, with no identity built
+        if np.abs(deviation).max() <= DIVISION_TOL:
             return V
     return np.linalg.qr(XtU)[0]
 

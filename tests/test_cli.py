@@ -493,6 +493,27 @@ ARGUMENT_ERRORS = (
     (["decompose", "--ranks", "4,4,4", "--tune", "--grid", "0:89:inf"],
      "--grid values must be finite"),
     (["tune", "--ranks", "4,4,4", "--grid", "0:inf:1"], "--grid values must be finite"),
+    (["decompose", "--ranks", "4,,4,4", "--lambda-deg", "20"],
+     "--ranks needs 3 comma-separated integers"),
+    (["decompose", "--ranks", "4,4,4,", "--lambda-deg", "20"],
+     "--ranks needs 3 comma-separated integers"),
+    (["decompose", "--ranks", ",4,4,4", "--lambda-deg", "20"],
+     "--ranks needs 3 comma-separated integers"),
+    # int() and float() read "_" and non-ASCII digits, which psi refuses everywhere
+    (["decompose", "--ranks", "1_0,4,4", "--lambda-deg", "20"], "bad rank value '1_0'"),
+    (["decompose", "--ranks", "4,4,4", "--lambda-deg", "2_0"],
+     "--lambda-deg must be a number, not '2_0'"),
+    (["decompose", "--ranks", "4,4,4", "--lambda-deg", "\u0662\u0660"],
+     "--lambda-deg must be a number, not '\u0662\u0660'"),
+    (["decompose", "--ranks", "4,4,4", "--lambda-deg", "20", "--seed", "\u0663"],
+     "--seed must be an integer, not '\u0663'"),
+    (["decompose", "--var-prop", "0_5", "--lambda-deg", "20"],
+     "--var-prop must be a number, not '0_5'"),
+    (["decompose", "--ranks", "4,4,4", "--tune", "--grid", "0:8_9:1"],
+     "--grid must be lo:hi:step in degrees"),
+    (["tune", "--ranks", "4,4,4", "--reps", "\u0662"], "--reps must be an integer, not '\u0662'"),
+    (["tune", "--ranks", "4,4,4", "--threads", "\u0661"],
+     "--threads must be an integer, not '\u0661'"),
 )
 
 # every option of each subcommand, besides --help
@@ -653,6 +674,26 @@ VALID_OPTIONS = {
 }
 
 
+# simulate and generate options that pass every check
+MODEL_OPTIONS = {
+    "generate": {"--model": "2", "--snr": "15", "--seed": "3", "--n": "40", "--p": "30"},
+    "simulate": {"--model": "2", "--snr": "15", "--seed": "3", "--n": "40", "--p": "30",
+                 "--lambda-deg": "20", "--grid": "0:89:1", "--reps": "1", "--threads": "1"},
+}
+# zeros of decimal scripts: Arabic-Indic, Extended Arabic-Indic, Devanagari, fullwidth
+DIGIT_ZEROS = (0x0660, 0x06F0, 0x0966, 0xFF10)
+# numbers that int() and float() read and psi refuses: an "_" between digits, or
+# digits of another script
+REFUSED_NUMBER = st.one_of(
+    st.integers(10, 10**4).map(str).map(lambda d: f"{d[0]}_{d[1:]}"),
+    st.tuples(st.integers(0, 10**4).map(str), st.sampled_from(DIGIT_ZEROS)).map(
+        lambda t: "".join(chr(t[1] + int(d)) for d in t[0])))
+
+
+def has_refused_digit(text: str) -> bool:
+    return any(c == "_" or (c.isdigit() and not c.isascii()) for c in text)
+
+
 @pytest.fixture(scope="module")
 def missing_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("front_door")
@@ -660,7 +701,8 @@ def missing_dir(tmp_path_factory):
 
 class TestFrontDoor:
     # The block paths do not exist, so no example reads a block, starts a pool
-    # or fits; simulate and generate would run, so they are left out.
+    # or fits. simulate and generate read no block and would run, so only the
+    # second property takes them, and it always gives one number refused text.
     @settings(max_examples=300, deadline=None)
     @given(command=st.sampled_from(sorted(VALID_OPTIONS)), data=st.data())
     def test_any_option_values_exit_2(self, missing_dir, command, data):
@@ -674,13 +716,41 @@ class TestFrontDoor:
         argv += [f"{flag}={value}" for flag, value in options.items() if value is not None]
         if command == "decompose" and options["--lambda-deg"] is None:
             argv.append("--tune")
-        with contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse refuses the value
                 code = exc.code
         assert code == 2
         assert not (missing_dir / "o").exists()
+        # a number with "_" or a non-ASCII digit is refused before any block is looked for
+        if any(map(has_refused_digit, filter(None, options.values()))):
+            assert err.getvalue().startswith("error: ")
+            assert "no such file" not in err.getvalue()
+            assert any(flag in err.getvalue() for flag in options) or "rank" in err.getvalue()
+
+    # A number written with "_" or non-ASCII digits in at least one option, and
+    # valid values in the rest: each run stops at that option before any work.
+    @settings(max_examples=200, deadline=None)
+    @given(command=st.sampled_from(sorted(MODEL_OPTIONS)), data=st.data())
+    def test_number_text_refused_before_any_work(self, missing_dir, command, data):
+        options = dict(MODEL_OPTIONS[command])
+        refused = {flag: data.draw(REFUSED_NUMBER, label=flag) for flag in data.draw(
+            st.sets(st.sampled_from(sorted(options)), min_size=1), label="refused")}
+        if "--grid" in refused:
+            parts = ["0", "89", "1"]
+            parts[data.draw(st.integers(0, 2), label="grid part")] = refused["--grid"]
+            refused["--grid"] = ":".join(parts)
+        options.update(refused)
+        out = missing_dir / "o"
+        argv = [command, *(f"{flag}={value}" for flag, value in options.items()),
+                "--out", str(out)]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(argv) == 2
+        assert not out.exists()
+        assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+        assert any(flag in err.getvalue() or repr(text) in err.getvalue()
+                   for flag, text in refused.items())
 
 
 class TestBlasThreads:

@@ -462,6 +462,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # sizes such as --n and --p have no upper bound
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -186,13 +186,19 @@ class _Checkpoint:
     gate: tuple | None = None
 
 
-def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Checkpoint):
+def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Checkpoint,
+            per_stage: bool = False):
     """Run ``identify`` from checkpoint ``cp`` on.
 
     Returns the scores, the accepted records and the checkpoints of the gates
     this run rejected, in order. They equal those of ``identify`` from the
     start whenever every gate before ``cp`` decides the same way at
     ``angle_threshold``.
+
+    ``per_stage`` projects the other blocks off all of a stage's claimed
+    directions with one ``_complement`` each, rather than one per direction.
+    The spans are the same up to rounding, but a singleton stage's columns
+    are not (ROADMAP item 3), so only fits whose columns no one reads set it.
     """
     K = ordering.K
     n = signals[0].score_basis.n
@@ -234,10 +240,10 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
                 claimed.append(w)
                 records.append(AcceptanceRecord(subset, angles, degenerate))
             mat = np.column_stack(claimed) if claimed else np.zeros((n, 0))
-        for w in claimed:
+        for Q in [mat] if per_stage else [w[:, None] for w in claimed]:
             for other in range(K):
                 if other not in idx:
-                    work[other] = _complement(work[other], w[:, None])
+                    work[other] = _complement(work[other], Q)
         finished.append((subset, OrthonormalBasis(mat)))
     return dict(finished), tuple(records), rejected
 
@@ -290,6 +296,11 @@ def identify_path(
     threshold, so they stay rejected: their checkpoints are kept and those of
     the resumed run are appended to them.
     """
+    return _path(signals, ordering, grid, per_stage=False)
+
+
+def _path(signals, ordering: IndexOrdering, grid, per_stage: bool):
+    """``identify_path``, with ``_resume``'s ``per_stage`` schedule when set."""
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
@@ -307,7 +318,8 @@ def identify_path(
     while i < grid.size:
         k = next(k for k, cp in enumerate(saved)
                  if cp.gate is None or max(cp.gate[2]) < grid[i])
-        scores, records, rejected = _resume(signals, ordering, grid[i], saved[k])
+        scores, records, rejected = _resume(signals, ordering, grid[i], saved[k],
+                                            per_stage)
         saved = saved[:k] + rejected
         # the result's bounds: its accepted gates and the rejected ones kept
         lo = max((max(rec.angles) for rec in records), default=-1.0)

@@ -20,7 +20,7 @@ import numpy as np
 # identify is still bound here: the benchmark's tracer and its tests look it
 # up in every module that imports it by name.
 from .core import (  # noqa: F401
-    DecompositionResult, MultiBlockDataset, extract_signal, identify, identify_path)
+    DecompositionResult, MultiBlockDataset, _path, extract_signal, identify, identify_path)
 from .structure import (
     IndexOrdering,
     PartialJointStructure,
@@ -171,6 +171,13 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
     the training signal's factor, and A_k and L_k^T L_k are formed once per
     split, so no interval of the path builds a p-sized matrix.
 
+    The training path projects each stage's claimed directions out of the
+    other blocks at once, not one at a time as ``identify_path`` does. Its
+    spans are the same up to rounding, and only its structures and risks
+    are read. The whole-data path keeps the per-direction schedule, because
+    the singleton columns of ``decomposition_hat`` depend on it (ROADMAP
+    item 3).
+
     ``whole_path`` is ``identify_path`` over ``grid`` on the whole data's
     signals at ``ranks``. It depends on neither the split nor the seed, so a
     caller that tunes one dataset several times computes it once and passes
@@ -203,7 +210,7 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
     # identify is piecewise constant in the threshold, so the held-out risk is
     # computed once per interval of the path.
     risks, train_structures = [], []
-    for i0, i1, res in identify_path(train_signals, ordering, grid):
+    for i0, i1, res in _path(train_signals, ordering, grid, per_stage=True):
         r_total = res.structure.total_rank()
         if r_total > len(te):
             raise ValueError(

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -751,6 +752,32 @@ class TestFrontDoor:
         assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
         assert any(flag in err.getvalue() or repr(text) in err.getvalue()
                    for flag, text in refused.items())
+
+
+class TestOutOfMemory:
+    # A 1 GB address space makes the first large allocation fail before any
+    # of it is touched: at 3 GB the simulate run filled 1.5 GB first.
+    LIMIT = 2**30
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--model", "2", "--n", "1000000000000"],
+        ["simulate", "--model", "2", "--p", "100000000", "--reps", "1", "--lambda-deg", "20"],
+    ])
+    def test_allocation_failure_exits_2_with_one_line(self, argv, tmp_path):
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (self.LIMIT, self.LIMIT))
+
+        # one BLAS thread keeps the library's own reservations small
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "psidecomp.cli", *argv,
+                               "--out", str(tmp_path / "out")],
+                              preexec_fn=limit_memory, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: not enough memory: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 class TestBlasThreads:

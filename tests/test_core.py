@@ -20,7 +20,7 @@ from psidecomp import (
     ordering_from_lists,
     orthonormalize,
 )
-from psidecomp.core import MultiBlockDataset
+from psidecomp.core import MultiBlockDataset, _path
 
 from cases import (
     absolutely_orthogonal_bases,
@@ -246,6 +246,10 @@ class TestIdentify:
             identify(sigs[:2], default_ordering(3), 0.1)
 
 
+def orthonormality_loss(W):
+    return np.max(np.abs(W.T @ W - np.eye(W.shape[1])), initial=0.0)
+
+
 def random_shared_signals(seed, K, n, noise):
     """Centered blocks of rank 1-4 over n samples: one or two own directions
     each, a direction that most blocks share, and one that blocks 1 and 2 share."""
@@ -279,8 +283,7 @@ class TestIdentifyProperties:
     def test_invariants_on_random_blocks(self, seed, K, n, noise, lam):
         signals, ranks = random_shared_signals(seed, K, n, noise)
         res = identify(signals, default_ordering(K), lam)
-        W, _ = res.stacked_scores()
-        assert np.max(np.abs(W.T @ W - np.eye(W.shape[1])), initial=0.0) <= 1e-10
+        assert orthonormality_loss(res.stacked_scores()[0]) <= 1e-10
         for k in range(1, K + 1):
             assert res.structure.block_rank(k) <= ranks[k - 1]
         angles = [a for rec in res.diagnostics for a in rec.angles]
@@ -314,6 +317,33 @@ class TestIdentifyProperties:
                 assert res.stacked_scores()[0].tobytes() == fresh.stacked_scores()[0].tobytes()
                 assert res.diagnostics == fresh.diagnostics
                 assert res.stable_interval == fresh.stable_interval
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 4), n=st.integers(6, 14),
+           noise=st.sampled_from([0.0, 0.01, 0.1]), step=st.floats(0.005, 0.2))
+    # a complement keeps a direction at singular value 1.8e-5: the scores of
+    # both schedules are 5e-9 off orthonormal, and their projectors 2.8e-9 apart
+    @example(seed=2511405506, K=4, n=14, noise=0.01, step=0.18330961139924526)
+    def test_per_stage_schedule_gives_the_same_spans(self, seed, K, n, noise, step):
+        # select_lambda's training path projects the other blocks off a
+        # stage's claimed directions at once; the public path does it one
+        # direction at a time. Only rounding may tell them apart: the
+        # projectors agree to 1e-9 plus the scores' own loss of orthonormality.
+        signals, _ = random_shared_signals(seed, K, n, noise)
+        ordering = default_ordering(K)
+        grid = np.arange(0.0, 1.5, step)
+        new = _path(signals, ordering, grid, per_stage=True)
+        old = identify_path(signals, ordering, grid)
+        assert [(i0, i1, res.structure.entries) for i0, i1, res in new] == \
+            [(i0, i1, res.structure.entries) for i0, i1, res in old]
+        for (_, _, a), (_, _, b) in zip(new, old):
+            for x, y in zip(a.stable_interval, b.stable_interval):
+                assert x == y or abs(x - y) <= 1e-12
+            loss = max(orthonormality_loss(a.stacked_scores()[0]),
+                       orthonormality_loss(b.stacked_scores()[0]))
+            for s, basis in a.scores.items():
+                P, Q = basis.columns, b.scores[s].columns
+                assert np.max(np.abs(P @ P.T - Q @ Q.T), initial=0.0) <= 1e-9 + loss
 
 
 def benchmark_fit(model_id, seed, transform=lambda k, X: X, lam=np.deg2rad(20)):

@@ -23,6 +23,7 @@ from psidecomp import (
     select_lambda,
     split,
 )
+from psidecomp import core
 from psidecomp.tuning import _heldout_pieces, _heldout_risk
 
 SEEDS = (1000, 1001, 1002)
@@ -154,8 +155,13 @@ class TestStableInterval:
         assert 0.0 <= res.stable_interval[0] < 1e-6
 
 
-def brute_force_select_lambda(data, ranks, ordering, grid, seed):
-    """select_lambda as a per-grid-point sweep, for comparison."""
+def brute_force_select_lambda(data, ranks, ordering, grid, seed, per_stage=True):
+    """select_lambda as a per-grid-point sweep, for comparison.
+
+    Each training fit is the private path at a one-point grid with
+    ``per_stage`` set as select_lambda sets it; the whole-data fits are
+    ``identify``, which keeps the per-direction schedule.
+    """
     plan = split(data.n, seed)
     train = [X[:, list(plan.train)] for X in data.blocks]
     test = [X[:, list(plan.test)] for X in data.blocks]
@@ -166,7 +172,7 @@ def brute_force_select_lambda(data, ranks, ordering, grid, seed):
     pieces = _heldout_pieces(test, train_signals)
     risks, train_structures = [], []
     for lam in grid:
-        res = identify(train_signals, ordering, lam)
+        res = core._path(train_signals, ordering, [lam], per_stage)[0][2]
         risks.append(_heldout_risk(pieces, res))
         train_structures.append(res.structure)
     i_tilde = int(np.argmin(risks))
@@ -193,3 +199,51 @@ class TestSelectLambdaOnPath:
         assert got.lambda_hat == float(grid[i_hat])
         assert got.decomposition_hat.angle_threshold == got.lambda_hat
         assert_same_result(got.decomposition_hat, res_hat)
+
+    @pytest.mark.parametrize("model_id,seed", [(1, 1000), (3, 1001), (5, 1002), (6, 1000)])
+    def test_training_schedules_agree(self, model_id, seed):
+        # The training path projects once per stage; the per-direction
+        # schedule, which the whole-data path keeps, picks the same training
+        # structures and lambda_tilde, and its risks differ by rounding only.
+        model = model_preset(model_id, snr=15.0, n=120, block_size=80)
+        data = generate(model, seed).dataset()
+        args = (data, model.block_ranks(), model.ordering, default_grid(), seed)
+        risks, _, i_tilde, _, _ = brute_force_select_lambda(*args, per_stage=True)
+        old_risks, _, old_tilde, _, _ = brute_force_select_lambda(*args, per_stage=False)
+        assert i_tilde == old_tilde
+        np.testing.assert_allclose(risks, old_risks, rtol=1e-12, atol=0.0)
+        plan = split(data.n, seed)
+        signals = [extract_signal(X[:, list(plan.train)], r, check_centering=False)
+                   for X, r in zip(data.blocks, model.block_ranks())]
+        structures = [[(i0, i1, res.structure.entries)
+                       for i0, i1, res in core._path(signals, model.ordering, default_grid(), flag)]
+                      for flag in (True, False)]
+        assert structures[0] == structures[1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_training_path_projects_once_per_stage(monkeypatch, seed):
+    # On select_lambda's training path every stage that claims directions
+    # projects each other block off them with one _complement; one call per
+    # claimed direction made 153-222 calls per path here.
+    model = model_preset(6, snr=15.0)
+    data = generate(model, seed).dataset()
+    grid = default_grid()
+    whole = identify_path(whole_signals(model, seed), model.ordering, grid)
+    calls, bound = [], []
+    complement, resume = core._complement, core._resume
+
+    def counted_complement(cols, Q):
+        calls.append(cols.shape[1] > 0 and Q.shape[1] > 0)
+        return complement(cols, Q)
+
+    def bounded_resume(signals, ordering, lam, cp, per_stage=False):
+        out = resume(signals, ordering, lam, cp, per_stage)
+        claiming = [s for s in ordering.sets[cp.stage:] if out[0][s].r > 0]
+        bound.append(len(claiming) * (ordering.K - 1))
+        return out
+
+    monkeypatch.setattr(core, "_complement", counted_complement)
+    monkeypatch.setattr(core, "_resume", bounded_resume)
+    select_lambda(data, model.block_ranks(), model.ordering, grid, seed, whole_path=whole)
+    assert 0 < sum(calls) <= sum(bound)

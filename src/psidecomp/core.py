@@ -240,10 +240,14 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
                 claimed.append(w)
                 records.append(AcceptanceRecord(subset, angles, degenerate))
             mat = np.column_stack(claimed) if claimed else np.zeros((n, 0))
+
+        def claimed_so_far():  # only called when a complement needs a second pass
+            return np.hstack([basis.columns for _, basis in finished] + [mat])
+
         for Q in [mat] if per_stage else [w[:, None] for w in claimed]:
             for other in range(K):
                 if other not in idx:
-                    work[other] = _complement(work[other], Q)
+                    work[other] = _complement(work[other], Q, claimed_so_far)
         finished.append((subset, OrthonormalBasis(mat)))
     return dict(finished), tuple(records), rejected
 

@@ -42,7 +42,6 @@ class SplitPlan:
 
     train: tuple[int, ...]
     test: tuple[int, ...]
-    seed: int
 
 
 def split(n: int, seed: int) -> SplitPlan:
@@ -53,7 +52,7 @@ def split(n: int, seed: int) -> SplitPlan:
     n_train = (n + 1) // 2
     train = tuple(sorted(int(i) for i in perm[:n_train]))
     test = tuple(sorted(int(i) for i in perm[n_train:]))
-    return SplitPlan(train=train, test=test, seed=int(seed))
+    return SplitPlan(train, test)
 
 
 def test_scores(X_test: np.ndarray, U_train: np.ndarray):
@@ -135,13 +134,18 @@ def _heldout_risk(pieces: list, result) -> float:
     return total
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TuningResult:
-    lambda_tilde: float                     # train/test risk minimizer (radians)
     structure_train: PartialJointStructure  # training structure at lambda_tilde
     risk_curve: tuple                       # ((lambda, risk), ...)
     dissimilarity_curve: tuple              # ((lambda, d), ...)
     decomposition_hat: DecompositionResult  # whole-data result at lambda_hat
+
+    @property
+    def lambda_tilde(self) -> float:
+        """Held-out risk minimizer (radians); the smallest lambda on ties."""
+        lams, risks = zip(*self.risk_curve)
+        return lams[int(np.argmin(risks))]
 
     @property
     def lambda_hat(self) -> float:
@@ -219,11 +223,7 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
                 f"lower the ranks so that they sum to at most {len(te)}")
         risks += [_heldout_risk(pieces, res)] * (i1 - i0)
         train_structures += [res.structure] * (i1 - i0)
-    risk_curve = [(float(lam), risk) for lam, risk in zip(grid, risks)]
-
-    i_tilde = int(np.argmin(risks))  # first minimum = smallest lambda on ties
-    lambda_tilde = float(grid[i_tilde])
-    structure_train = train_structures[i_tilde]
+    structure_train = train_structures[int(np.argmin(risks))]
 
     if whole_path is None:
         whole_signals = [extract_signal(X, r, check_centering=False)
@@ -237,14 +237,12 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
         whole_results += [res] * (i1 - i0)
     if len(dists) != grid.size:
         raise ValueError("whole_path must be identify_path over this grid")
-    dissim_curve = [(float(lam), d) for lam, d in zip(grid, dists)]
     i_hat = int(np.argmin(dists))
 
     return TuningResult(
-        lambda_tilde=lambda_tilde,
         structure_train=structure_train,
-        risk_curve=tuple(risk_curve),
-        dissimilarity_curve=tuple(dissim_curve),
+        risk_curve=tuple((float(lam), risk) for lam, risk in zip(grid, risks)),
+        dissimilarity_curve=tuple((float(lam), d) for lam, d in zip(grid, dists)),
         decomposition_hat=replace(whole_results[i_hat], angle_threshold=float(grid[i_hat])),
     )
 

@@ -1,10 +1,11 @@
 # Shared exact-arithmetic fixtures: small hand-built score subspace
 # collections with known intersection geometry, used by the core tests and
-# the acceptance suite.
+# the acceptance suite, and random blocks with shared directions for the
+# property tests.
 
 import numpy as np
 
-from psidecomp import OrthonormalBasis, SignalEstimate
+from psidecomp import OrthonormalBasis, SignalEstimate, extract_signal
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -54,3 +55,25 @@ def signals_of_bases(bases):
 def random_basis(rng, n, r):
     from psidecomp import orthonormalize
     return orthonormalize(rng.standard_normal((n, r)), 1e-12)
+
+
+def random_shared_signals(seed, K, n, noise):
+    """Centered blocks of rank 1-4 over n samples: one or two own directions
+    each, a direction that most blocks share, and one that blocks 1 and 2 share."""
+    rng = np.random.default_rng(seed)
+    shared = rng.standard_normal((n, 2))
+    signals, ranks = [], []
+    for k in range(K):
+        cols = [rng.standard_normal((n, int(rng.integers(1, 3))))]
+        if rng.random() < 0.7:
+            cols.append(shared[:, :1])
+        if k < 2:
+            cols.append(shared[:, 1:])
+        S = np.hstack(cols)
+        r = S.shape[1]
+        p = int(rng.integers(r, 9))
+        X = rng.standard_normal((p, r)) @ S.T + noise * rng.standard_normal((p, n))
+        signals.append(extract_signal(X - X.mean(axis=1, keepdims=True), r,
+                                      check_centering=False))
+        ranks.append(r)
+    return signals, ranks

@@ -19,14 +19,16 @@ from psidecomp import (
     model_preset,
     ordering_from_lists,
     orthonormalize,
+    row_center,
 )
-from psidecomp.core import MultiBlockDataset, _path
+from psidecomp.core import MultiBlockDataset, _path, is_row_centered
 
 from cases import (
     absolutely_orthogonal_bases,
     dependent_bases,
     independent_bases,
     non_absolutely_orthogonal_bases,
+    random_shared_signals,
     signals_of_bases,
 )
 
@@ -86,6 +88,21 @@ class TestExtractSignal:
         est = extract_signal(X, 4)
         P = est.score_basis.projector()
         assert np.allclose(est.zhat @ P, est.zhat, atol=1e-10)
+
+
+class TestRowCenter:
+    def test_rows_are_centered_and_the_input_kept(self):
+        rng = np.random.default_rng(23)
+        # rows of very different scales and offsets
+        X = rng.standard_normal((6, 50)) * np.logspace(-3, 3, 6)[:, None] \
+            + rng.uniform(-1e3, 1e3, (6, 1))
+        before = X.copy()
+        C = row_center(X)
+        scale = np.max(np.abs(X), axis=1)
+        assert np.all(np.abs(C.mean(axis=1)) <= 1e-15 * scale)
+        assert is_row_centered(C)
+        assert not is_row_centered(X)
+        np.testing.assert_array_equal(X, before)
 
 
 class TestMultiBlockDataset:
@@ -250,28 +267,6 @@ def orthonormality_loss(W):
     return np.max(np.abs(W.T @ W - np.eye(W.shape[1])), initial=0.0)
 
 
-def random_shared_signals(seed, K, n, noise):
-    """Centered blocks of rank 1-4 over n samples: one or two own directions
-    each, a direction that most blocks share, and one that blocks 1 and 2 share."""
-    rng = np.random.default_rng(seed)
-    shared = rng.standard_normal((n, 2))
-    signals, ranks = [], []
-    for k in range(K):
-        cols = [rng.standard_normal((n, int(rng.integers(1, 3))))]
-        if rng.random() < 0.7:
-            cols.append(shared[:, :1])
-        if k < 2:
-            cols.append(shared[:, 1:])
-        S = np.hstack(cols)
-        r = S.shape[1]
-        p = int(rng.integers(r, 9))
-        X = rng.standard_normal((p, r)) @ S.T + noise * rng.standard_normal((p, n))
-        signals.append(extract_signal(X - X.mean(axis=1, keepdims=True), r,
-                                      check_centering=False))
-        ranks.append(r)
-    return signals, ranks
-
-
 class TestIdentifyProperties:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 4), n=st.integers(6, 14),
@@ -280,6 +275,12 @@ class TestIdentifyProperties:
     @example(seed=9, K=4, n=6, noise=0.0, lam=0.0)
     # a flag mean whose V = X^T U / s was 1e-10 off orthonormal read 1.06e-10 here
     @example(seed=4088216822, K=3, n=11, noise=0.01, lam=0.0)
+    # a complement keeps a direction at singular value 3.7e-5 and amplifies
+    # an earlier 5.8e-14 residue to 4.9e-9 without a second projection pass;
+    # the next two read 3.1e-10 and 7.3e-10 without it
+    @example(seed=2511405506, K=4, n=14, noise=0.01, lam=0.0)
+    @example(seed=3398671625, K=2, n=9, noise=0.1, lam=0.0)
+    @example(seed=1577048326, K=4, n=9, noise=0.01, lam=0.0)
     def test_invariants_on_random_blocks(self, seed, K, n, noise, lam):
         signals, ranks = random_shared_signals(seed, K, n, noise)
         res = identify(signals, default_ordering(K), lam)
@@ -321,14 +322,14 @@ class TestIdentifyProperties:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 4), n=st.integers(6, 14),
            noise=st.sampled_from([0.0, 0.01, 0.1]), step=st.floats(0.005, 0.2))
-    # a complement keeps a direction at singular value 1.8e-5: the scores of
-    # both schedules are 5e-9 off orthonormal, and their projectors 2.8e-9 apart
+    # a complement keeps a direction at singular value 1.8e-5: without its
+    # second projection pass the projectors of the two schedules were 2.8e-9 apart
     @example(seed=2511405506, K=4, n=14, noise=0.01, step=0.18330961139924526)
     def test_per_stage_schedule_gives_the_same_spans(self, seed, K, n, noise, step):
         # select_lambda's training path projects the other blocks off a
         # stage's claimed directions at once; the public path does it one
         # direction at a time. Only rounding may tell them apart: the
-        # projectors agree to 1e-9 plus the scores' own loss of orthonormality.
+        # projectors agree to 1e-9.
         signals, _ = random_shared_signals(seed, K, n, noise)
         ordering = default_ordering(K)
         grid = np.arange(0.0, 1.5, step)
@@ -339,11 +340,9 @@ class TestIdentifyProperties:
         for (_, _, a), (_, _, b) in zip(new, old):
             for x, y in zip(a.stable_interval, b.stable_interval):
                 assert x == y or abs(x - y) <= 1e-12
-            loss = max(orthonormality_loss(a.stacked_scores()[0]),
-                       orthonormality_loss(b.stacked_scores()[0]))
             for s, basis in a.scores.items():
                 P, Q = basis.columns, b.scores[s].columns
-                assert np.max(np.abs(P @ P.T - Q @ Q.T), initial=0.0) <= 1e-9 + loss
+                assert np.max(np.abs(P @ P.T - Q @ Q.T), initial=0.0) <= 1e-9
 
 
 def benchmark_fit(model_id, seed, transform=lambda k, X: X, lam=np.deg2rad(20)):

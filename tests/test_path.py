@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 
 from psidecomp import (
+    IndexSet,
+    OrthonormalBasis,
     default_grid,
+    default_ordering,
     dissimilarity,
     extract_signal,
     generate,
@@ -24,7 +27,10 @@ from psidecomp import (
     split,
 )
 from psidecomp import core
+from psidecomp.subspace import PEEL_TOL
 from psidecomp.tuning import _heldout_pieces, _heldout_risk
+
+from cases import signals_of_bases
 
 SEEDS = (1000, 1001, 1002)
 
@@ -233,9 +239,9 @@ def test_training_path_projects_once_per_stage(monkeypatch, seed):
     calls, bound = [], []
     complement, resume = core._complement, core._resume
 
-    def counted_complement(cols, Q):
+    def counted_complement(cols, Q, claimed=None):
         calls.append(cols.shape[1] > 0 and Q.shape[1] > 0)
-        return complement(cols, Q)
+        return complement(cols, Q, claimed)
 
     def bounded_resume(signals, ordering, lam, cp, per_stage=False):
         out = resume(signals, ordering, lam, cp, per_stage)
@@ -247,3 +253,29 @@ def test_training_path_projects_once_per_stage(monkeypatch, seed):
     monkeypatch.setattr(core, "_resume", bounded_resume)
     select_lambda(data, model.block_ranks(), model.ordering, grid, seed, whole_path=whole)
     assert 0 < sum(calls) <= sum(bound)
+
+
+def test_accepted_candidate_with_nothing_to_peel_ends_the_stage():
+    # A candidate orthogonal to a participant (||B_i^T w|| <= PEEL_TOL) has a
+    # sine that rounds to 1, or to 1 - ulp when ||w|| is an ulp short of 1, so
+    # it passes its gate only for a threshold within 1.5e-8 rad of pi/2, far
+    # above the default grid's 89 degrees. A checkpoint hands _resume such a
+    # candidate directly.
+    eye = np.eye(6)
+    B1, B2, w = eye[:, :2], eye[:, 2:4], eye[:, 4]
+    angle = float(np.arcsin(np.nextafter(1.0, 0.0)))
+    lam = np.nextafter(np.pi / 2, 0.0)
+    assert angle < lam
+    c = (B1.T @ w, B2.T @ w)
+    assert max(np.linalg.norm(ci) for ci in c) <= PEEL_TOL
+    cp = core._Checkpoint(0, (B1, B2), (), (), (), (w, False, (angle, angle), c))
+    signals = signals_of_bases([OrthonormalBasis(B1), OrthonormalBasis(B2)])
+    scores, records, rejected = core._resume(signals, default_ordering(2), lam, cp)
+    # the stage ends as a failed gate would, but keeps no checkpoint
+    assert records == () and rejected == []
+    assert scores[IndexSet((1, 2))].r == 0
+    # both bases reach their singleton stages unpeeled
+    np.testing.assert_array_equal(scores[IndexSet((1,))].columns, B1)
+    P2 = scores[IndexSet((2,))].projector()
+    assert np.max(np.abs(P2 - B2 @ B2.T)) <= 1e-15
+    assert all(np.all(np.isfinite(b.columns)) for b in scores.values())

@@ -166,21 +166,12 @@ def generate(model: SimulationModel, seed: int, joint_orthonormal: bool = True,
     rng_load = rng if loading_seed is None else np.random.default_rng([int(loading_seed), 0xA11CE])
 
     raw = rng.standard_normal((model.n, r_total))
-    scores: dict = {}
-    if joint_orthonormal:
-        stacked = orthonormalize(raw, 1e-12).columns[:, :r_total]
-        offset = 0
-        for subset, r in active:
-            scores[subset] = stacked[:, offset:offset + r]
-            offset += r
-    else:
-        offset = 0
-        for subset, r in active:
-            scores[subset] = orthonormalize(raw[:, offset:offset + r], 1e-12).columns
-            offset += r
-
-    loadings: dict = {}
-    for subset, r in active:
+    cuts = np.cumsum([r for _, r in active])[:-1]
+    parts = [raw] if joint_orthonormal else np.split(raw, cuts, axis=1)
+    stacked = np.hstack([orthonormalize(part, 1e-12).columns for part in parts])
+    scores, loadings = {}, {}
+    for (subset, r), W in zip(active, np.split(stacked, cuts, axis=1)):
+        scores[subset] = W
         sigmas = np.sqrt(np.array(model.signal_variances[subset], dtype=float))
         for k in subset.members:
             p_k = model.block_sizes[k - 1]

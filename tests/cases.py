@@ -1,11 +1,20 @@
 # Shared exact-arithmetic fixtures: small hand-built score subspace
 # collections with known intersection geometry, used by the core tests and
-# the acceptance suite, and random blocks with shared directions for the
-# property tests.
+# the acceptance suite, random blocks with shared directions for the
+# property tests, structures by rank table, the split halves of a dataset,
+# and the assertion that the input-check tables use.
 
 import numpy as np
+import pytest
 
-from psidecomp import OrthonormalBasis, SignalEstimate, extract_signal
+from psidecomp import (
+    OrthonormalBasis,
+    PartialJointStructure,
+    SignalEstimate,
+    default_ordering,
+    extract_signal,
+    split,
+)
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -77,3 +86,25 @@ def random_shared_signals(seed, K, n, noise):
                                       check_centering=False))
         ranks.append(r)
     return signals, ranks
+
+
+def make_structure(K, ranks_by_members):
+    entries = tuple(
+        (s, ranks_by_members.get(s.members, 0)) for s in default_ordering(K)
+    )
+    return PartialJointStructure(entries, K)
+
+
+def split_halves(data, seed):
+    """Each block's training and test columns under ``split(data.n, seed)``."""
+    plan = split(data.n, seed)
+    return ([X[:, list(plan.train)] for X in data.blocks],
+            [X[:, list(plan.test)] for X in data.blocks])
+
+
+def assert_rejects(call, error, message):
+    """``call()`` raises exactly ``error``, not a subclass, with this message."""
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    assert str(raised.value) == message

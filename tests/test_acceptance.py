@@ -30,12 +30,12 @@ from psidecomp import (
 )
 from psidecomp import test_scores as procrustes_scores
 from psidecomp.simgen import run_repetitions
-from psidecomp.structure import PartialJointStructure
 
 from cases import (
     absolutely_orthogonal_bases,
     dependent_bases,
     independent_bases,
+    make_structure,
     non_absolutely_orthogonal_bases,
     signals_of_bases,
 )
@@ -45,13 +45,6 @@ def report(criterion, ok, detail):
     tag = "PASS" if ok else "FAIL"
     print(f"{tag} criterion {criterion}: {detail}", flush=True)
     return ok
-
-
-def make_structure(K, ranks_by_members):
-    entries = tuple(
-        (s, ranks_by_members.get(s.members, 0)) for s in default_ordering(K)
-    )
-    return PartialJointStructure(entries, K)
 
 
 # ---------------------------------------------------------------------------

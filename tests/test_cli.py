@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psidecomp import cli
+from psidecomp import cli, estimate_loadings, model_preset, simgen
 from psidecomp.cli import _check_args, _load_dataset, build_parser, main
+from psidecomp.structure import structure_to_dict
 
 
 def run_cli(*argv):
@@ -220,6 +222,42 @@ class TestDecompose:
         code = run_cli("decompose", "--blocks", *blocks, "--ranks", "4,4,4",
                        "--lambda-deg", "20", "--out", str(out))
         assert code == 0
+
+
+class TestDecomposeMatchesRunOnce:
+    """``psi decompose`` and ``simgen.run_once`` each carry a copy of the fit
+    pipeline; on a generated model's CSVs the two copies give the same fit."""
+
+    @pytest.mark.parametrize("lambda_deg", (None, 20.0))
+    @pytest.mark.parametrize("model_id, seed", ((3, 11), (3, 12), (6, 11), (6, 12)))
+    def test_same_lambda_structure_and_scores(self, model_id, seed, lambda_deg,
+                                              tmp_path, monkeypatch):
+        model = model_preset(model_id, snr=15.0, n=80, block_size=60)
+        gen, out = tmp_path / "gen", tmp_path / "dec"
+        assert run_cli("generate", "--model", str(model_id), "--snr", "15", "--n", "80",
+                       "--p", "60", "--seed", str(seed), "--out", str(gen)) == 0
+        threshold = ["--tune"] if lambda_deg is None else ["--lambda-deg", f"{lambda_deg:g}"]
+        assert run_cli("decompose", "--blocks",
+                       *(str(gen / f"X_{k}.csv") for k in range(1, model.K + 1)),
+                       "--ranks", ",".join(map(str, model.block_ranks())),
+                       "--seed", str(seed), *threshold, "--out", str(out)) == 0
+
+        # run_once returns metrics only, so take its fit from its loadings call
+        fits = []
+        def keep_fit(signals, result):
+            fits.append(result)
+            return estimate_loadings(signals, result)
+        monkeypatch.setattr(simgen, "estimate_loadings", keep_fit)
+        outcome = simgen.run_once(model, seed, angle_threshold=None if lambda_deg is None
+                                  else math.radians(lambda_deg))
+        (fit,) = fits
+
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["angle_threshold_deg"] == outcome.lambda_deg
+        assert json.loads((out / "structure.json").read_text()) == \
+            structure_to_dict(fit.structure)
+        scores = np.loadtxt(out / "scores.csv", delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(scores, fit.stacked_scores()[0])
 
 
 class TestTune:

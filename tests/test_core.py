@@ -25,6 +25,7 @@ from psidecomp.core import MultiBlockDataset, _path, is_row_centered
 
 from cases import (
     absolutely_orthogonal_bases,
+    assert_rejects,
     dependent_bases,
     independent_bases,
     non_absolutely_orthogonal_bases,
@@ -552,3 +553,18 @@ class TestUniquenessChecks:
                 assert rep.relative_orthogonality
             if rep.relative_orthogonality:
                 assert rep.relative_independence
+
+
+@pytest.mark.parametrize("call, error, message", (
+    pytest.param(lambda: MultiBlockDataset(()),
+                 ValueError, "at least one data block is required", id="no-blocks"),
+    pytest.param(lambda: MultiBlockDataset((np.array([[np.nan, 1.0]]),)),
+                 ValueError, "block 1 contains non-finite entries", id="nan-entry"),
+    pytest.param(lambda: extract_signal(np.ones(3), 1),
+                 ValueError, "block must be a p x n matrix", id="signal-of-a-vector"),
+    pytest.param(lambda: check_relative_independence(independent_bases()[:2],
+                                                     default_ordering(3)),
+                 ValueError, "expected 3 bases, got 2", id="bases-short-of-K"),
+))
+def test_input_check_rejects(call, error, message):
+    assert_rejects(call, error, message)

@@ -16,9 +16,10 @@ from psidecomp import (
     metric_rse,
     model_preset,
     reconstruct,
-    split,
 )
 from psidecomp.tuning import _heldout_pieces, _heldout_risk
+
+from cases import split_halves
 
 CASES = [(model_id, seed) for model_id in range(1, 7) for seed in (1000, 1001, 1002)]
 
@@ -69,9 +70,7 @@ def test_rse_equals_the_dense_residual(model_id, seed):
 def test_heldout_risk_is_bit_equal_to_the_training_copy_pieces(model_id, seed):
     model = model_preset(model_id, snr=15.0, n=120, block_size=80)
     data = generate(model, seed).dataset()
-    plan = split(data.n, seed)
-    train = [X[:, list(plan.train)] for X in data.blocks]
-    test = [X[:, list(plan.test)] for X in data.blocks]
+    train, test = split_halves(data, seed)
     signals = [extract_signal(B, r, check_centering=False)
                for B, r in zip(train, model.block_ranks())]
     old = []

@@ -17,6 +17,8 @@ from psidecomp import (
     stacked_loadings,
 )
 
+from cases import assert_rejects, independent_bases, signals_of_bases
+
 
 def fitted_pipeline(model_id, seed, lam_deg=20.0, snr=math.inf):
     model = model_preset(model_id, snr=snr, n=60, block_size=50)
@@ -92,6 +94,12 @@ class TestEstimateLoadings:
                    for r in (2, 1)]
         with pytest.raises(ValueError, match="block 1 are not orthonormal"):
             estimate_loadings(signals, result)
+
+    def test_signal_count_other_than_K_rejected(self):
+        signals = signals_of_bases(independent_bases())
+        result = identify(signals, default_ordering(3), 1e-6)
+        assert_rejects(lambda: estimate_loadings(signals[:2], result),
+                       ValueError, "expected 3 signal estimates, got 2")
 
 
 class TestReconstruct:

@@ -30,7 +30,7 @@ from psidecomp import core
 from psidecomp.subspace import PEEL_TOL
 from psidecomp.tuning import _heldout_pieces, _heldout_risk
 
-from cases import signals_of_bases
+from cases import signals_of_bases, split_halves
 
 SEEDS = (1000, 1001, 1002)
 
@@ -168,9 +168,7 @@ def brute_force_select_lambda(data, ranks, ordering, grid, seed, per_stage=True)
     ``per_stage`` set as select_lambda sets it; the whole-data fits are
     ``identify``, which keeps the per-direction schedule.
     """
-    plan = split(data.n, seed)
-    train = [X[:, list(plan.train)] for X in data.blocks]
-    test = [X[:, list(plan.test)] for X in data.blocks]
+    train, test = split_halves(data, seed)
     train_signals = [extract_signal(B, r, check_centering=False)
                      for B, r in zip(train, ranks)]
     # The held-out risk of one training result is select_lambda's own

@@ -6,7 +6,6 @@ import pytest
 from psidecomp import (
     IndexSet,
     SimulationModel,
-    default_ordering,
     estimate_loadings,
     extract_signal,
     generate,
@@ -22,12 +21,7 @@ from psidecomp import (
 from psidecomp.simgen import outcomes_tsv, run_repetitions, summarize
 from psidecomp.structure import PartialJointStructure
 
-
-def make_structure(K, ranks_by_members):
-    entries = tuple(
-        (s, ranks_by_members.get(s.members, 0)) for s in default_ordering(K)
-    )
-    return PartialJointStructure(entries, K)
+from cases import assert_rejects, make_structure
 
 
 class TestPresets:
@@ -302,3 +296,14 @@ class TestRunners:
                                  threads=2)
         assert [o.seed for o in pooled] == [o.seed for o in serial]
         assert [o.rse for o in pooled] == pytest.approx([o.rse for o in serial])
+
+
+@pytest.mark.parametrize("call, error, message", (
+    pytest.param(lambda: SimulationModel(name="m", n=20, block_sizes=(10,),
+                                         signal_variances={}, snr=0.0),
+                 ValueError, "snr must be positive (math.inf for noiseless)", id="zero-snr"),
+    pytest.param(lambda: metric_accuracy(make_structure(2, {}), make_structure(3, {})),
+                 ValueError, "structures disagree on K", id="accuracy-across-K"),
+))
+def test_input_check_rejects(call, error, message):
+    assert_rejects(call, error, message)

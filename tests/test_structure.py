@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from psidecomp import (
+    IndexOrdering,
     IndexSet,
     PartialJointStructure,
     canonical_display,
@@ -19,6 +20,8 @@ from psidecomp import (
     structures_equal,
     to_binary_multiset,
 )
+
+from cases import assert_rejects, make_structure
 
 
 def structures(K):
@@ -33,13 +36,6 @@ structure_triples = st.integers(2, 4).flatmap(lambda K: st.tuples(
     structures(K), structures(K), st.permutations(range(2**K - 1))).map(
     lambda t: (t[0], t[1], PartialJointStructure(
         tuple(t[0].entries[i] for i in t[2]), K))))
-
-
-def make_structure(K, ranks_by_members):
-    entries = tuple(
-        (s, ranks_by_members.get(s.members, 0)) for s in default_ordering(K)
-    )
-    return PartialJointStructure(entries, K)
 
 
 class TestIndexSet:
@@ -217,3 +213,28 @@ class TestStructureProperties:
         assert (dissimilarity(a, b) == 0) == structures_equal(a, b)
         assert dissimilarity(a, a_reordered) == 0
         assert structures_equal(a, a_reordered)
+
+
+@pytest.mark.parametrize("call, error, message", (
+    pytest.param(lambda: IndexSet((0,)),
+                 ValueError, "block indices are 1-based", id="zero-member"),
+    pytest.param(lambda: IndexOrdering((), 13),
+                 ValueError, "the number of blocks K must be between 1 and 12",
+                 id="ordering-K-13"),
+    pytest.param(lambda: IndexOrdering(default_ordering(3).sets[:-1], 3),
+                 ValueError, "an ordering for K=3 needs 7 index-sets", id="ordering-short"),
+    pytest.param(lambda: IndexOrdering(tuple(IndexSet.of(4) if s == IndexSet.of(3) else s
+                                             for s in default_ordering(3).sets), 3),
+                 ValueError, "index-set {4} exceeds K=3", id="ordering-member-above-K"),
+))
+def test_input_check_rejects(call, error, message):
+    assert_rejects(call, error, message)
+
+
+def test_rank_of_an_absent_set_is_zero():
+    structure = PartialJointStructure(((IndexSet.of(1), 1),), 2)
+    assert structure.rank_of(IndexSet.of(2)) == 0
+
+
+def test_structures_over_different_K_are_unequal():
+    assert not structures_equal(make_structure(2, {}), make_structure(3, {}))

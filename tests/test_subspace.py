@@ -13,6 +13,8 @@ from psidecomp import (
 )
 from psidecomp.subspace import _flag_mean_refined
 
+from cases import assert_rejects
+
 
 def unit(v):
     return UnitDirection(np.asarray(v, dtype=float))
@@ -53,6 +55,11 @@ class TestOrthonormalize:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             orthonormalize(np.eye(3), tol=-1.0)
+
+    def test_tol_above_one_keeps_nothing(self):
+        # every singular value is at most the largest, so none exceeds twice it
+        B = orthonormalize(np.ones((3, 2)), tol=2.0)
+        assert B.r == 0 and B.n == 3
 
 
 class TestBasisAndDirectionTypes:
@@ -245,3 +252,26 @@ class TestDeflate:
         B = OrthonormalBasis(np.eye(4)[:, :2])
         with pytest.raises(NothingToPeel):
             deflate(B, unit([0.0, 0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("call, error, message", (
+    pytest.param(lambda: OrthonormalBasis(np.ones(3)),
+                 ValueError, "basis must be a 2-d array", id="basis-of-a-vector"),
+    pytest.param(lambda: OrthonormalBasis(np.zeros((0, 0))),
+                 ValueError, "ambient dimension must be at least 1", id="basis-in-R0"),
+    pytest.param(lambda: UnitDirection(np.array([])),
+                 ValueError, "direction must live in R^n with n >= 1", id="empty-direction"),
+    pytest.param(lambda: orthonormalize(np.ones(3)),
+                 ValueError, "input must be an n x m array with n >= 1",
+                 id="orthonormalize-a-vector"),
+    pytest.param(lambda: flag_mean_direction([OrthonormalBasis(np.eye(4)[:, :1]),
+                                              OrthonormalBasis(np.eye(5)[:, :1])]),
+                 ValueError, "all bases must share the ambient dimension",
+                 id="flag-mean-across-n"),
+    pytest.param(lambda: deflate(OrthonormalBasis(np.eye(5)[:, :1]), unit([1.0, 0, 0, 0])),
+                 ValueError, "ambient dimensions differ: 4 vs 5", id="deflate-across-n"),
+    pytest.param(lambda: deflate(OrthonormalBasis(np.zeros((4, 0))), unit([1.0, 0, 0, 0])),
+                 NothingToPeel, "cannot deflate the zero subspace", id="deflate-r0"),
+))
+def test_input_check_rejects(call, error, message):
+    assert_rejects(call, error, message)

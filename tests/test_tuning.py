@@ -22,15 +22,9 @@ from psidecomp import (
     write_curves_tsv,
 )
 from psidecomp import test_scores as procrustes_scores
-from psidecomp.structure import PartialJointStructure
 from psidecomp.tuning import _heldout_pieces, _heldout_risk
 
-
-def make_structure(K, ranks_by_members):
-    entries = tuple(
-        (s, ranks_by_members.get(s.members, 0)) for s in default_ordering(K)
-    )
-    return PartialJointStructure(entries, K)
+from cases import assert_rejects, make_structure, split_halves
 
 
 class TestSplit:
@@ -57,6 +51,10 @@ class TestSplit:
 
 
 class TestTestScores:
+    def test_rank_zero_gives_no_columns(self):
+        W, degenerate = procrustes_scores(np.ones((5, 3)), np.zeros((5, 0)))
+        assert W.shape == (3, 0) and not degenerate
+
     def test_exact_fit_objective_zero(self):
         rng = np.random.default_rng(1)
         U = rng.standard_normal((30, 4))
@@ -163,9 +161,7 @@ class TestHeldOutRisk:
     def test_matches_p_space_oracle(self, model_id, seed):
         model = model_preset(model_id, snr=15.0, n=120, block_size=80)
         data = generate(model, seed).dataset()
-        plan = split(data.n, seed)
-        train = [X[:, list(plan.train)] for X in data.blocks]
-        test = [X[:, list(plan.test)] for X in data.blocks]
+        train, test = split_halves(data, seed)
         signals = [extract_signal(B, r, check_centering=False)
                    for B, r in zip(train, model.block_ranks())]
         pieces = _heldout_pieces(test, signals)
@@ -218,10 +214,8 @@ class TestSelectLambda:
             lam0, risk0 = res.risk_curve[0]
             assert lam0 == 0.0
 
-            plan = split(data.n, seed)
-            train = [X[:, list(plan.train)] for X in data.blocks]
-            test = [X[:, list(plan.test)] for X in data.blocks]
-            loadings, claimed = [None] * data.K, np.zeros((len(plan.train), 0))
+            train, test = split_halves(data, seed)
+            loadings, claimed = [None] * data.K, np.zeros((train[0].shape[1], 0))
             for (k,) in (s.members for s in model.ordering if len(s) == 1):
                 r = model.block_ranks()[k - 1]
                 V = np.linalg.svd(train[k - 1])[2][:r].T
@@ -293,3 +287,22 @@ class TestModeStructure:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mode_structure([])
+
+
+@pytest.mark.parametrize("call, error, message", (
+    pytest.param(lambda: procrustes_scores(np.ones((5, 3)), np.ones((4, 1))),
+                 ValueError, "X_test and U_train must share the stacked row dimension",
+                 id="scores-row-mismatch"),
+    pytest.param(lambda: procrustes_scores(np.ones((5, 1)), np.eye(5)[:, :2]),
+                 ValueError, "more score columns than rows or samples",
+                 id="scores-r-above-samples"),
+    pytest.param(lambda: empirical_risk([np.ones((2, 3))], [], np.ones((3, 1))),
+                 ValueError, "one loading block per test block required",
+                 id="risk-without-loadings"),
+    pytest.param(lambda: select_lambda(
+                     generate(model_preset(6, snr=15.0, n=20, block_size=10), seed=0).dataset(),
+                     (2, 2), default_ordering(3), default_grid(), seed=0),
+                 ValueError, "expected 3 ranks, got 2", id="ranks-short-of-K"),
+))
+def test_input_check_rejects(call, error, message):
+    assert_rejects(call, error, message)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     MultiBlockDataset,
+    _path,
     extract_signal,
     identify,
     identify_path,
@@ -346,8 +347,10 @@ def cmd_decompose(args) -> int:
 
 def cmd_tune(args) -> int:
     data, ranks, signals = _load_signals(args)
-    # the whole-data path does not depend on the split, so every repetition shares it
-    whole_path = identify_path(signals, args.ordering, args.grid)
+    # The whole-data path does not depend on the split, so every repetition
+    # shares it. tune writes no score columns, only structures, so the path
+    # takes the per-stage schedule of select_lambda's training fits.
+    whole_path = _path(signals, args.ordering, args.grid, per_stage=True)
     # the shared arguments reach each worker once; a job sends only its seed
     tune = functools.partial(select_lambda, data, ranks, args.ordering, args.grid,
                              whole_path=whole_path)

@@ -177,7 +177,7 @@ def dissimilarity(A: PartialJointStructure, B: PartialJointStructure) -> int:
     rest_b = mb - ma
     total = 0
     for side, other in ((rest_a, rest_b), (rest_b, rest_a)):
-        others = list(other.elements())
+        others = list(other)  # distinct vectors: copies do not change the nearest
         for vec, count in side.items():
             if others:
                 d = min(_hamming(vec, o) for o in others)

@@ -21,6 +21,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,7 +114,7 @@ def _top_eigvecs(G: np.ndarray, k: int):
     n = G.shape[0]
     m = k + max(k, 4)
     if n >= max(CHEB_MIN_N, CHEB_MIN_RATIO * m):
-        Y = np.linalg.qr(G @ np.random.default_rng(CHEB_SEED).standard_normal((n, m)))[0]
+        Y = np.linalg.qr(G @ _start_block(n, m))[0]
         for sweeps_left in range(CHEB_MAX_SWEEPS, -1, -1):
             GY = G @ Y
             theta, Z = np.linalg.eigh(Y.T @ GY)
@@ -138,6 +139,15 @@ def _top_eigvecs(G: np.ndarray, k: int):
     return vals[::-1][:k], vecs[:, ::-1][:, :k]
 
 
+@functools.lru_cache(maxsize=8)
+def _start_block(n: int, m: int) -> np.ndarray:
+    """The fixed n x m start block of _top_eigvecs, drawn once per shape
+    from CHEB_SEED and read-only."""
+    block = np.random.default_rng(CHEB_SEED).standard_normal((n, m))
+    block.setflags(write=False)
+    return block
+
+
 def _chebyshev_filter(G, Y, GY, b, a0):
     """p(G) Y for p(t) = T_d((t - c) / e) / T_d((a0 - c) / e), the degree
     d = CHEB_DEGREE Chebyshev polynomial of [0, b] (c = e = b / 2), scaled to
@@ -148,10 +158,15 @@ def _chebyshev_filter(G, Y, GY, b, a0):
     e = c = b / 2.0
     sigma = e / (a0 - c)
     tau = 2.0 / sigma
-    prev, cur = Y, (GY - c * Y) * (sigma / e)
+    prev, cur = Y, GY - c * Y
+    cur *= sigma / e
     for _ in range(1, CHEB_DEGREE):
         sigma_next = 1.0 / (tau - sigma)
-        nxt = (G @ cur - c * cur) * (2.0 * sigma_next / e) - (sigma * sigma_next) * prev
+        # (G cur - c cur) * (2 sigma_next / e) - (sigma sigma_next) prev, in place
+        nxt = G @ cur
+        nxt -= c * cur
+        nxt *= 2.0 * sigma_next / e
+        nxt -= (sigma * sigma_next) * prev
         prev, cur, sigma = cur, nxt, sigma_next
     return cur
 
@@ -172,8 +187,9 @@ class OrthonormalBasis:
         if r > n:
             raise ValueError(f"subspace dimension {r} exceeds ambient dimension {n}")
         if r > 0:
-            gram = cols.T @ cols
-            if np.abs(gram - np.eye(r)).max() > ORTHONORMAL_TOL:
+            deviation = cols.T @ cols
+            deviation.flat[::r + 1] -= 1.0  # B^T B - I, with no identity built
+            if np.abs(deviation).max() > ORTHONORMAL_TOL:
                 cols, _ = np.linalg.qr(cols)
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)

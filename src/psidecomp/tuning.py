@@ -94,44 +94,53 @@ def empirical_risk(test_blocks: Sequence[np.ndarray],
     return total
 
 
-def _heldout_pieces(test_blocks, train_signals: Sequence) -> list:
-    """Per block (V_k, A_k, S_k, ||X_test,k||^2), computed once per split.
+def _heldout_pieces(test_blocks, train_signals: Sequence) -> tuple:
+    """(V, R, S, rows, denoms) for ``_heldout_risk``, computed once per split.
 
-    V_k is the training score basis and L_k = X_train,k V_k the training
-    signal's factor, A_k = X_test,k^T L_k (n_test x r_k) and S_k = L_k^T L_k
-    (r_k x r_k). ``test_blocks`` may be a generator: each block is dropped
-    once its piece is formed.
+    Block k's training score basis V_k and factor L_k = X_train,k V_k give
+    A_k = X_test,k^T L_k (n_test x r_k) and S_k = L_k^T L_k. Over the
+    R0 = sum_k r_k columns, V = [V_1 ... V_K], S is block-diagonal in the
+    S_k, and of the thin QR [A_1 ... A_K] = Q R only R is kept. ``rows``
+    maps each of the R0 columns to its block (0-based) and ``denoms`` holds
+    ||X_test,k||^2. ``test_blocks`` may be a generator: each block is
+    dropped once its piece is formed.
     """
-    pieces = []
+    V, A, S, denoms = [], [], [], []
     for X_test, sig in zip(test_blocks, train_signals):
         denom = float(np.sum(X_test * X_test))
         if denom == 0.0:
             raise ValueError("test block with zero norm; drop it before tuning")
         L = sig.factor
-        pieces.append((sig.score_basis.columns, X_test.T @ L, L.T @ L, denom))
-    return pieces
+        V.append(sig.score_basis.columns)
+        A.append(X_test.T @ L)
+        S.append(L.T @ L)
+        denoms.append(denom)
+    rows = np.repeat(np.arange(len(V)), [v.shape[1] for v in V])
+    S_diag = np.zeros((rows.size, rows.size))
+    for k, S_k in enumerate(S):
+        S_diag[np.ix_(rows == k, rows == k)] = S_k
+    return np.hstack(V), np.linalg.qr(np.hstack(A), mode="r"), S_diag, rows, np.array(denoms)
 
 
-def _heldout_risk(pieces: list, result) -> float:
+def _heldout_risk(pieces: tuple, result) -> float:
     """``empirical_risk`` of ``result``'s loadings and Procrustes test scores.
 
     The r-space form of estimate_loadings -> stacked_loadings -> test_scores
     -> empirical_risk (see ``select_lambda``), equal to it up to rounding.
+    With C = [C_1; ...; C_K], X_test^T U = [A_1 ... A_K] C = Q (R C), so
+    for R C = P S' Q'^T the Procrustes scores are W_test = Q P Q'^T, and
+    <A_k C_k, W_test> = <C_k, (R^T P Q'^T)_k>: the SVD is of an R0 x r
+    matrix, and no n_test-sized matrix is formed.
     """
+    V, R, S, rows, denoms = pieces
     W, labels = result.stacked_scores()
-    C, AC = [], []
-    for k, (V, A, _, _) in enumerate(pieces, start=1):
-        inside = np.array([k in s for s in labels], dtype=float)
-        C.append((V.T @ W) * inside)
-        AC.append(A @ C[-1])
-    P, _, Qt = np.linalg.svd(sum(AC), full_matrices=False)
-    W_test = P @ Qt
-    total = 0.0
-    for (_, _, S, denom), C_k, AC_k in zip(pieces, C, AC):
-        cross = float(np.sum(AC_k * W_test))
-        fitted = float(np.sum(C_k * (S @ C_k)))
-        total += (denom - 2.0 * cross + fitted) / denom
-    return total
+    inside = np.array([[k in s for s in labels] for k in range(1, denoms.size + 1)],
+                      dtype=float)
+    C = (V.T @ W) * inside[rows]
+    P, _, Qt = np.linalg.svd(R @ C, full_matrices=False)
+    # per column of V: its part of -2 <A_k C_k, W_test> + <C_k, S_k C_k>
+    terms = np.sum(C * (S @ C - 2.0 * (R.T @ (P @ Qt))), axis=1)
+    return float(np.sum((denoms + np.bincount(rows, terms, denoms.size)) / denoms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,15 +187,16 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
     The training path projects each stage's claimed directions out of the
     other blocks at once, not one at a time as ``identify_path`` does. Its
     spans are the same up to rounding, and only its structures and risks
-    are read. The whole-data path keeps the per-direction schedule, because
-    the singleton columns of ``decomposition_hat`` depend on it (ROADMAP
-    item 3).
+    are read. The whole-data path computed here keeps the per-direction
+    schedule, because the singleton columns of ``decomposition_hat`` depend
+    on it (ROADMAP item 3).
 
     ``whole_path`` is ``identify_path`` over ``grid`` on the whole data's
     signals at ``ranks``. It depends on neither the split nor the seed, so a
     caller that tunes one dataset several times computes it once and passes
-    it in; when it is None it is computed here. A path over another grid
-    raises ValueError.
+    it in; when it is None it is computed here. A caller that reads only
+    the structures and thresholds, as ``psi tune`` does, may pass the
+    per-stage path instead. A path over another grid raises ValueError.
     """
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:

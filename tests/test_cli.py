@@ -17,9 +17,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psidecomp import cli, estimate_loadings, model_preset, simgen
+from psidecomp import (
+    cli,
+    default_grid,
+    default_ordering,
+    estimate_loadings,
+    extract_signal,
+    identify_path,
+    mode_structure,
+    model_preset,
+    select_lambda,
+    simgen,
+)
 from psidecomp.cli import _check_args, _load_dataset, build_parser, main
 from psidecomp.structure import structure_to_dict
+from psidecomp.tuning import _curve_rows
 
 
 def run_cli(*argv):
@@ -305,6 +317,42 @@ class TestTune:
             outs.append([(out / name).read_bytes() for name in ("tune.json", "curves.tsv")])
         assert outs[0] == outs[1]
 
+
+    @pytest.mark.parametrize("threads", ("1", "2"))
+    @pytest.mark.parametrize("model,seed,n,p", (("4", 11, 40, 30), ("6", 5, 60, 40)))
+    def test_per_stage_whole_path_writes_what_identify_path_gives(
+            self, tmp_path, model, seed, n, p, threads):
+        # tune's whole-data path takes the per-stage schedule; its files must
+        # be those of select_lambda given the per-direction identify_path
+        gen = tmp_path / "gen"
+        assert run_cli("generate", "--model", model, "--snr", "15", "--seed", str(seed),
+                       "--n", str(n), "--p", str(p), "--out", str(gen)) == 0
+        blocks = [str(gen / f"X_{k}.csv") for k in (1, 2, 3)]
+        ranks = json.loads((gen / "truth.json").read_text())["ranks"]
+        out = tmp_path / "tune"
+        assert run_cli("tune", "--blocks", *blocks, "--ranks", ",".join(map(str, ranks)),
+                       "--reps", "3", "--seed", "7", "--threads", threads,
+                       "--out", str(out)) == 0
+
+        data = _load_dataset(argparse.Namespace(blocks=blocks, center=False))
+        ordering, grid = default_ordering(3), default_grid()
+        signals = [extract_signal(X, r, check_centering=False)
+                   for X, r in zip(data.blocks, ranks)]
+        whole = identify_path(signals, ordering, grid)
+        results = [select_lambda(data, ranks, ordering, grid, 7 + rep, whole_path=whole)
+                   for rep in range(3)]
+        mode, count = mode_structure([t.decomposition_hat.structure for t in results])
+        payload = {
+            "repetitions": 3,
+            "lambda_hat_deg": [math.degrees(t.lambda_hat) for t in results],
+            "lambda_tilde_deg": [math.degrees(t.lambda_tilde) for t in results],
+            "mode_structure": structure_to_dict(mode),
+            "mode_count": count,
+        }
+        assert (out / "tune.json").read_text() == json.dumps(payload, indent=2) + "\n"
+        rows = [f"{rep}\t{row}" for rep, t in enumerate(results) for row in _curve_rows(t)]
+        assert (out / "curves.tsv").read_text() == "\n".join(
+            ["rep\tlambda_degrees\trisk\tdissimilarity", *rows]) + "\n"
 
     def test_threads_below_one_exit_2(self, generated, tmp_path, capsys):
         blocks = [str(generated / f"X_{k}.csv") for k in (1, 2, 3)]

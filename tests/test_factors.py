@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from psidecomp import (
+    SignalEstimate,
     default_grid,
     estimate_loadings,
     extract_signal,
@@ -73,11 +74,10 @@ def test_heldout_risk_is_bit_equal_to_the_training_copy_pieces(model_id, seed):
     train, test = split_halves(data, seed)
     signals = [extract_signal(B, r, check_centering=False)
                for B, r in zip(train, model.block_ranks())]
-    old = []
-    for X_train, X_test, sig in zip(train, test, signals):
-        V = sig.score_basis.columns
-        L = X_train @ V
-        old.append((V, X_test.T @ L, L.T @ L, float(np.sum(X_test * X_test))))
+    # the same pieces, from factors formed here on the training copies
+    dense = [SignalEstimate(X_train @ sig.score_basis.columns, sig.score_basis)
+             for X_train, sig in zip(train, signals)]
+    old = _heldout_pieces(test, dense)
     new = _heldout_pieces(iter(test), signals)
     for _, _, res in identify_path(signals, model.ordering, default_grid()):
         assert _heldout_risk(new, res) == _heldout_risk(old, res)

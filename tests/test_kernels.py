@@ -30,7 +30,9 @@ from psidecomp import (
 )
 from psidecomp.simgen import generate, model_preset
 from psidecomp.subspace import (
+    CHEB_DEGREE,
     CHEB_MIN_N,
+    CHEB_SEED,
     TIE_RTOL,
     OrthonormalBasis,
     UnitDirection,
@@ -239,6 +241,45 @@ class TestPartialEigensolver:
             assert sizes and min(X.shape) not in sizes
             Vt = np.linalg.svd(X, full_matrices=False)[2][:r]
             assert np.max(np.abs(V @ V.T - Vt.T @ Vt)) <= 1e-10
+
+
+def chebyshev_expression(G, Y, GY, b, a0):
+    """_chebyshev_filter's recurrence written as expressions, with a new
+    array for every step."""
+    e = c = b / 2.0
+    sigma = e / (a0 - c)
+    tau = 2.0 / sigma
+    prev, cur = Y, (GY - c * Y) * (sigma / e)
+    for _ in range(1, CHEB_DEGREE):
+        sigma_next = 1.0 / (tau - sigma)
+        nxt = (G @ cur - c * cur) * (2.0 * sigma_next / e) - (sigma * sigma_next) * prev
+        prev, cur, sigma = cur, nxt, sigma_next
+    return cur
+
+
+class TestEigensolverBuffers:
+    @SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(64, 200), m=st.integers(6, 16))
+    def test_in_place_filter_is_bit_equal_to_the_expression_form(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n // 2))
+        G = A @ A.T
+        Y = np.linalg.qr(rng.standard_normal((n, m)))[0]
+        GY = G @ Y
+        theta = np.linalg.eigvalsh(Y.T @ GY)  # ascending: the Ritz values b, a0
+        inputs = [a.tobytes() for a in (G, Y, GY)]
+        got = subspace._chebyshev_filter(G, Y, GY, theta[0], theta[-1])
+        assert got.tobytes() == chebyshev_expression(G, Y, GY, theta[0], theta[-1]).tobytes()
+        assert [a.tobytes() for a in (G, Y, GY)] == inputs
+
+    def test_start_block_is_drawn_once_and_read_only(self):
+        block = subspace._start_block(100, 8)
+        assert subspace._start_block(100, 8) is block
+        assert not block.flags.writeable
+        fresh = np.random.default_rng(CHEB_SEED).standard_normal((100, 8))
+        assert block.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
 
 
 def qr_deflation(cols, w):

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from psidecomp import (
@@ -121,6 +121,31 @@ class TestBinaryMultiset:
         assert to_binary_multiset(kept) == to_binary_multiset(s)
 
 
+def sparse_structures(K):
+    """Structures over default_ordering(K) with up to 5 index-sets of rank
+    0..4 each, so either side can be empty and survivors are common."""
+    sets = [s.members for s in default_ordering(K).sets]
+    return st.dictionaries(st.sampled_from(sets), st.integers(0, 4), max_size=5).map(
+        lambda ranks: make_structure(K, ranks))
+
+
+sparse_pairs = st.integers(1, 5).flatmap(
+    lambda K: st.tuples(sparse_structures(K), sparse_structures(K)))
+
+
+def expanded_dissimilarity(a, b):
+    """The dissimilarity with every surviving copy matched against every
+    surviving copy on the other side: the multiset written out in full."""
+    ma, mb = to_binary_multiset(a), to_binary_multiset(b)
+    total = 0
+    for side, other in ((ma - mb, mb - ma), (mb - ma, ma - mb)):
+        others = list(other.elements())
+        for vec in side.elements():
+            d = min((sum(x != y for x, y in zip(vec, o)) for o in others), default=sum(vec))
+            total += d * d
+    return total
+
+
 class TestDissimilarity:
     def test_worked_value_six(self):
         a = make_structure(3, {(1, 2, 3): 1, (1, 2): 1})
@@ -155,6 +180,14 @@ class TestDissimilarity:
             assert dissimilarity(a, a) == 0
             if dissimilarity(a, b) == 0:
                 assert structures_equal(a, b)
+
+    @given(pair=sparse_pairs)
+    @example(pair=(make_structure(1, {}), make_structure(1, {})))
+    @example(pair=(make_structure(3, {(1, 2, 3): 2, (1,): 3}), make_structure(3, {})))
+    @example(pair=(make_structure(4, {}), make_structure(4, {(2, 3): 4, (4,): 1})))
+    def test_matches_the_multiplicity_expanded_reference(self, pair):
+        a, b = pair
+        assert dissimilarity(a, b) == expanded_dissimilarity(a, b)
 
     def test_mismatched_K_rejected(self):
         with pytest.raises(ValueError):

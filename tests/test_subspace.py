@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from psidecomp import (
     principal_angle,
     sine_distance,
 )
-from psidecomp.subspace import _flag_mean_refined
+from psidecomp.subspace import ORTHONORMAL_TOL, _flag_mean_refined
 
 from cases import assert_rejects
 
@@ -68,6 +70,20 @@ class TestBasisAndDirectionTypes:
         Q = orthonormalize(rng.standard_normal((8, 3))).columns
         B = OrthonormalBasis(Q + 1e-6 * rng.standard_normal(Q.shape))
         assert np.max(np.abs(B.columns.T @ B.columns - np.eye(3))) < 1e-10
+
+    @pytest.mark.parametrize("deviation,kept", ((0.99e-10, True), (1.01e-10, False)))
+    def test_orthonormality_check_at_its_tolerance(self, deviation, kept):
+        # one column stretched so that max |B^T B - I| lands just below or
+        # just above ORTHONORMAL_TOL: below, the columns are kept bit for bit
+        Q = orthonormalize(np.random.default_rng(3).standard_normal((8, 3))).columns
+        cols = Q.copy()
+        cols[:, 1] *= math.sqrt(1.0 + deviation)
+        off = np.max(np.abs(cols.T @ cols - np.eye(3)))
+        assert (off < ORTHONORMAL_TOL) == kept and abs(off - deviation) < 1e-12
+        B = OrthonormalBasis(cols)
+        assert (B.columns.tobytes() == cols.tobytes()) == kept
+        if not kept:
+            assert np.max(np.abs(B.columns.T @ B.columns - np.eye(3))) < 1e-14
 
     def test_r_cannot_exceed_n(self):
         with pytest.raises(ValueError):

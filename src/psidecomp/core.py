@@ -248,7 +248,7 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
             for other in range(K):
                 if other not in idx:
                     work[other] = _complement(work[other], Q, claimed_so_far)
-        finished.append((subset, OrthonormalBasis(mat)))
+        finished.append((subset, OrthonormalBasis._trusted(mat)))
     return dict(finished), tuple(records), rejected
 
 

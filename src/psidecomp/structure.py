@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from numbers import Integral
 from typing import Iterable
@@ -142,6 +143,11 @@ class PartialJointStructure:
     def total_rank(self) -> int:
         return sum(r for _, r in self.entries)
 
+    @cached_property
+    def _multiset(self) -> BinaryMultiset:
+        """to_binary_multiset of this structure, built once; not to be mutated."""
+        return to_binary_multiset(self)
+
 
 def canonical_display(structure: PartialJointStructure):
     """Entries with positive rank, in stored order."""
@@ -172,7 +178,7 @@ def dissimilarity(A: PartialJointStructure, B: PartialJointStructure) -> int:
     """
     if A.K != B.K:
         raise ValueError(f"structures disagree on K: {A.K} vs {B.K}")
-    ma, mb = to_binary_multiset(A), to_binary_multiset(B)
+    ma, mb = A._multiset, B._multiset
     rest_a = ma - mb
     rest_b = mb - ma
     total = 0
@@ -191,7 +197,7 @@ def structures_equal(A: PartialJointStructure, B: PartialJointStructure) -> bool
     """Equality as binary multisets (entry order and rank-0 entries ignored)."""
     if A.K != B.K:
         return False
-    return to_binary_multiset(A) == to_binary_multiset(B)
+    return A._multiset == B._multiset
 
 
 def structure_to_dict(structure: PartialJointStructure) -> dict:

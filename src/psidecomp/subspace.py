@@ -15,9 +15,9 @@
 # - A block's score basis needs only the top r eigenvectors of its Gram
 #   matrix, which _top_eigvecs finds by Chebyshev-filtered subspace iteration
 #   (Zhou & Saad 2007), falling back to a full eigh where it would not pay
-#   or cannot vouch for its answer. The flag mean keeps one full eigh: its
-#   Gram is only as large as the participants' summed ranks, its tie rule
-#   reads every singular value, and the same eigenvectors give the direction.
+#   or cannot vouch for its answer. A flag mean takes one eigh: of order
+#   min(r1, r2) from an untied pair's cross Gram B1^T B2, else of the Gram of
+#   the stacked bases, whose eigenvalues decide the tie and give the direction.
 
 from __future__ import annotations
 
@@ -177,6 +177,14 @@ class OrthonormalBasis:
 
     columns: np.ndarray
 
+    @classmethod
+    def _trusted(cls, cols: np.ndarray) -> "OrthonormalBasis":
+        """Wrap columns a kernel here made orthonormal: read-only, not copied or checked."""
+        basis = object.__new__(cls)
+        cols.setflags(write=False)
+        object.__setattr__(basis, "columns", cols)
+        return basis
+
     def __post_init__(self):
         cols = np.array(self.columns, dtype=float)
         if cols.ndim != 2:
@@ -306,7 +314,27 @@ def _flag_mean_refined(blocks):
     One eigh of H^T H, H = hstack(blocks), serves both: its eigenvalues give
     the singular values s of H that decide the tie, and _right_vectors maps
     its top eigenvectors, one or the tied ones, to left singular vectors of H.
+
+    Two blocks first try M = B1^T B2: H^T H has eigenvalues 1 +- sigma_i(M)
+    and 1 (|r1 - r2| times), so one eigh of the smaller of M M^T and M^T M
+    decides the tie, and an untied top pair of principal vectors gives w =
+    B1 u + B2 v (Bjorck & Golub 1973); the second of u, v is M^T u or M v
+    normalized, as dividing by a small sigma_1 loses accuracy. A tie takes H.
     """
+    if len(blocks) == 2:
+        B1, B2 = blocks
+        M = B1.T @ B2
+        r1, r2 = M.shape
+        tall = r1 > r2
+        lam, X = np.linalg.eigh(M.T @ M if tall else M @ M.T)
+        sig = np.sqrt(np.maximum(lam[::-1], 0.0))
+        nxt = 1.0 + sig[1] if sig.size > 1 else 1.0 if r1 != r2 else 1.0 - sig[0]
+        if math.sqrt(max(nxt, 0.0)) < math.sqrt(1.0 + sig[0]) * (1.0 - TIE_RTOL):
+            x = X[:, -1]
+            y = M @ x if tall else M.T @ x
+            y /= math.sqrt(y @ y)
+            w = B1 @ y + B2 @ x if tall else B1 @ x + B2 @ y
+            return _fix_sign(w / math.sqrt(w @ w)), False
     H = np.concatenate(blocks, axis=1)
     vals, vecs = np.linalg.eigh(H.T @ H)
     s = np.sqrt(np.maximum(vals[::-1], 0.0))

@@ -22,6 +22,7 @@ from psidecomp import (
     row_center,
 )
 from psidecomp.core import MultiBlockDataset, _path, is_row_centered
+from psidecomp.subspace import ORTHONORMAL_TOL
 
 from cases import (
     absolutely_orthogonal_bases,
@@ -344,6 +345,34 @@ class TestIdentifyProperties:
             for s, basis in a.scores.items():
                 P, Q = basis.columns, b.scores[s].columns
                 assert np.max(np.abs(P @ P.T - Q @ Q.T), initial=0.0) <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 4), n=st.integers(6, 14),
+           noise=st.sampled_from([0.0, 0.01, 0.1]), step=st.floats(0.005, 0.2),
+           per_stage=st.booleans())
+    # the inputs pinned above for orthonormality, on both schedules
+    @example(seed=9, K=4, n=6, noise=0.0, step=0.05, per_stage=False)
+    @example(seed=9, K=4, n=6, noise=0.0, step=0.05, per_stage=True)
+    @example(seed=4088216822, K=3, n=11, noise=0.01, step=0.05, per_stage=True)
+    @example(seed=2511405506, K=4, n=14, noise=0.01, step=0.18330961139924526,
+             per_stage=False)
+    @example(seed=2511405506, K=4, n=14, noise=0.01, step=0.18330961139924526,
+             per_stage=True)
+    @example(seed=1577048326, K=4, n=9, noise=0.01, step=0.05, per_stage=False)
+    def test_finished_bases_are_orthonormal_and_read_only(self, seed, K, n, noise, step,
+                                                          per_stage):
+        # A path wraps each finished stage's columns as its kernels return
+        # them, with neither a copy nor a check of B^T B: they must pass that
+        # check as they stand.
+        signals, _ = random_shared_signals(seed, K, n, noise)
+        ordering = default_ordering(K)
+        grid = np.arange(0.0, 1.5, step)
+        path = (_path(signals, ordering, grid, per_stage=True) if per_stage
+                else identify_path(signals, ordering, grid))
+        for _, _, res in path:
+            for basis in res.scores.values():
+                assert orthonormality_loss(basis.columns) <= ORTHONORMAL_TOL
+                assert not basis.columns.flags.writeable
 
 
 def benchmark_fit(model_id, seed, transform=lambda k, X: X, lam=np.deg2rad(20)):

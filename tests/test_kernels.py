@@ -2,14 +2,17 @@
 
 extract_signal takes its score basis from the top eigenvectors of the Gram
 matrix on the block's smaller side, found by Chebyshev-filtered subspace
-iteration with a full eigh as fallback; the flag mean comes from one full
-eigh of the m x m Gram matrix of the stacked bases, which decides the tie and
-gives the direction, and deflation writes its Householder reflector in closed
-form. Each is checked here against the full SVD, eigh or QR it replaces. A
-gate of identify forms each participant's coefficients B_i^T w once; its
-angles and deflations must equal the public kernels' bit for bit.
+iteration with a full eigh as fallback; the flag mean of two bases comes from
+one eigh of their min(r1, r2) cross Gram, and any other, or a tied pair's,
+from one full eigh of the m x m Gram matrix of the stacked bases, which
+decides the tie and gives the direction; deflation writes its Householder
+reflector in closed form. Each is checked here against the full SVD, eigh or
+QR it replaces. A gate of identify forms each participant's coefficients
+B_i^T w once; its angles and deflations must equal the public kernels' bit
+for bit.
 """
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -392,10 +395,118 @@ class TestGramFlagMean:
             with full_eigh_sizes() as sizes:
                 w, degenerate = _flag_mean_refined(blocks)
             assert degenerate
+            if len(blocks) == 2:  # a pair first tries its min(r1, r2) cross Gram
+                assert sizes.pop(0) == min(b.shape[1] for b in blocks)
             # one eigh of the m x m Gram, then the refinement's shared x shared ones
             assert sizes[0] == m
             assert all(k == shared for k in sizes[1:])
             assert all(_sine(b, w, b.T @ w) <= 1e-12 for b in blocks)  # w is shared
+
+
+def planted_pair(rng, n, r1, r2, sig):
+    """Bases of ranks r1 and r2 in R^n (n >= r1 + r2) whose cross Gram has
+    singular values sig (descending, min(r1, r2) of them), each turned by a
+    random rotation of its columns, and their flag mean (p_1 + q_1) / ||.||
+    from the planted first pair of principal vectors."""
+    Q = np.linalg.qr(rng.standard_normal((n, r1 + r2)))[0]
+    c = np.zeros(r2)
+    c[:len(sig)] = sig
+    P = np.zeros((n, r2))
+    P[:, :len(sig)] = Q[:, :len(sig)]
+    V = P * c + Q[:, r1:] * np.sqrt(1.0 - c * c)  # B2's principal vectors
+    B1 = Q[:, :r1] @ np.linalg.qr(rng.standard_normal((r1, r1)))[0]
+    B2 = V @ np.linalg.qr(rng.standard_normal((r2, r2)))[0]
+    w = Q[:, 0] + V[:, 0]
+    return B1, B2, _fix_sign(w / np.linalg.norm(w))
+
+
+def pair_eigenvalue_gap(r1, r2, sig):
+    """The top eigenvalue of H^T H, H = [B1 B2], less the next one: the
+    eigenvalues are 1 +- sig and 1 repeated |r1 - r2| times."""
+    rest = [1.0 + s for s in sig[1:]] + [1.0 - sig[0]] + [1.0] * (r1 != r2)
+    return 1.0 + sig[0] - max(rest)
+
+
+class TestPairFlagMean:
+    """Two blocks take their flag mean from the min(r1, r2) cross Gram
+    B1^T B2, and the full Gram of the stack only on a tie."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), r1=st.integers(1, 6), r2=st.integers(1, 6),
+           extra=st.integers(0, 40), kind=st.sampled_from(["generic", "near_orthogonal", "tied"]),
+           data=st.data())
+    def test_matches_two_eigh_route(self, seed, r1, r2, extra, kind, data):
+        rng = np.random.default_rng(seed)
+        k = min(r1, r2)
+        top = data.draw({"generic": st.floats(0.05, 1.0),
+                         "near_orthogonal": st.floats(-6.0, -2.0).map(lambda e: 10.0 ** e),
+                         "tied": st.floats(0.0, 1.0)}[kind])
+        sig = np.concatenate([[top], top * np.sort(rng.uniform(0.0, 1.0 - 1e-3, k - 1))[::-1]])
+        if kind == "tied":  # a repeated top value, or orthogonal lines at k = 1
+            sig[:2] = top if k > 1 else 1e-8 * top
+        gap = pair_eigenvalue_gap(r1, r2, sig)
+        # keep away from the tie cut, where the two routes' roundings may differ
+        cut = 1.0 - math.sqrt((1.0 + sig[0] - gap) / (1.0 + sig[0]))
+        assume(abs(cut - TIE_RTOL) > 1e-9)
+        B1, B2, planted = planted_pair(rng, r1 + r2 + extra, r1, r2, sig)
+        w, degenerate = _flag_mean_refined([B1, B2])
+        oracle, oracle_degenerate = two_eigh_flag_mean([B1, B2])
+        assert degenerate == oracle_degenerate == (cut < TIE_RTOL)
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-14
+        if degenerate:  # the full Gram's route, unchanged
+            assert np.max(np.abs(w - oracle)) <= 1e-12
+        else:  # both carry the rounding of a top eigenvector, 1e-16 / gap
+            tol = 1e-13 + 1e-15 / gap
+            assert np.max(np.abs(w - oracle)) <= tol
+            assert np.max(np.abs(w - planted)) <= tol
+            assert np.array_equal(w, _fix_sign(w))
+
+    @pytest.mark.parametrize("r1, r2", [(1, 1), (1, 4), (4, 1), (3, 5), (6, 2), (8, 8)])
+    def test_untied_pair_runs_one_small_eigh(self, r1, r2):
+        rng = np.random.default_rng(17)
+        blocks = [orthonormalize(rng.standard_normal((40, r))).columns for r in (r1, r2)]
+        with full_eigh_sizes() as sizes:
+            w, degenerate = _flag_mean_refined(blocks)
+        assert not degenerate
+        assert sizes == [min(r1, r2)]
+        oracle, _ = two_eigh_flag_mean(blocks)
+        assert np.max(np.abs(w - oracle)) <= 1e-12
+
+
+# TIE_RTOL's value, written out: the inputs below must not move with it.
+TIE_CUT = 1e-6
+
+
+def near_tie(rng, blocks, delta):
+    """Bases whose stack H has s_2 / s_1 = 1 - delta * TIE_CUT: two of ranks
+    2 and 2, or 1 and 2 (the cross-Gram route), or three lines (the full
+    Gram's route)."""
+    ratio = (1.0 - delta * TIE_CUT) ** 2  # of the top two eigenvalues of H^T H
+    if blocks == (2, 2):  # eigenvalues 1 + sig_1 and 1 + sig_2
+        return list(planted_pair(rng, 8, 2, 2, [0.5, 1.5 * ratio - 1.0])[:2])
+    # lines at cosine a and one orthogonal to both: eigenvalues 1 + a and 1
+    a = 1.0 / ratio - 1.0
+    Q = np.linalg.qr(rng.standard_normal((8, 3)))[0]
+    lines = [Q[:, :1], a * Q[:, :1] + math.sqrt(1.0 - a * a) * Q[:, 1:2], Q[:, 2:]]
+    return [lines[0], np.hstack(lines[1:])] if blocks == (1, 2) else lines
+
+
+class TestTieCut:
+    """The top two singular values of the stack just inside TIE_RTOL of each
+    other tie, and just outside they do not, on both routes."""
+
+    @pytest.mark.parametrize("blocks", [(2, 2), (1, 2), (1, 1, 1)])
+    @pytest.mark.parametrize("delta, tied", [(0.5, True), (1.5, False)])
+    def test_degenerate_flips_at_the_cut(self, blocks, delta, tied):
+        inputs = near_tie(np.random.default_rng(23), blocks, delta)
+        assert [b.shape[1] for b in inputs] == list(blocks)
+        s = np.linalg.svd(np.hstack(inputs), compute_uv=False)
+        assert s[1] / s[0] == pytest.approx(1.0 - delta * TIE_CUT, abs=1e-3 * TIE_CUT)
+        with full_eigh_sizes() as sizes:
+            degenerate = _flag_mean_refined(inputs)[1]
+        assert degenerate == tied
+        # a pair's cross Gram settles it unless tied; three blocks need the full Gram
+        assert (sum(blocks) in sizes) == (tied or len(blocks) == 3)
 
 
 class TestGateSharesCoefficients:

@@ -21,6 +21,7 @@ from psidecomp import (
     structures_equal,
     write_curves_tsv,
 )
+from psidecomp import structure
 from psidecomp import test_scores as procrustes_scores
 from psidecomp.tuning import _heldout_pieces, _heldout_risk
 
@@ -231,6 +232,26 @@ class TestSelectLambda:
             expected = empirical_risk(
                 test, [U_stack[a:b] for a, b in zip(rows[:-1], rows[1:])], W_test)
             assert risk0 == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("model_id", [3, 6])
+    def test_each_structure_builds_its_multiset_once(self, monkeypatch, model_id):
+        # dissimilarity reads the binary multiset each structure builds once:
+        # the training structure's, and one per whole-path interval
+        model = model_preset(model_id, snr=15.0, n=60, block_size=40)
+        data = generate(model, seed=4).dataset()
+        signals = [extract_signal(X, r, check_centering=False)
+                   for X, r in zip(data.blocks, model.block_ranks())]
+        whole = identify_path(signals, model.ordering, default_grid())
+        assert len(whole) > 1
+        calls = []
+        real = structure.to_binary_multiset
+        monkeypatch.setattr(structure, "to_binary_multiset",
+                            lambda s: calls.append(s) or real(s))
+        for seed, most in ((4, 1 + len(whole)), (5, 1)):  # the second reuses the path's
+            calls.clear()
+            select_lambda(data, model.block_ranks(), model.ordering, default_grid(),
+                          seed=seed, whole_path=whole)
+            assert 0 < len(calls) <= most
 
     def test_deterministic(self):
         model = model_preset(3, snr=15.0, n=50, block_size=40)

@@ -48,11 +48,13 @@ REPROJECT_TOL = 1e-2
 # (2 cores, BLAS at 1 thread, k 1-12, n 32-200). A sweep is a Rayleigh-Ritz
 # step, then a Chebyshev filter of degree CHEB_DEGREE. It stops when every
 # wanted residual ||G y - theta y|| is at most CHEB_RES_RTOL * theta_1, and
-# keeps the answer only if theta_k - theta_{k+1} > CHEB_GAP_RTOL * theta_1.
-# It gives up, at any Rayleigh-Ritz step, once the Ritz values predict that
-# the filter sweeps left of CHEB_MAX_SWEEPS cannot reach that residual: a
-# spectrum without a gap after k costs about one sweep before the full eigh.
-# A theta_m at or below CHEB_NULL_RTOL * theta_1 means G's rank is below m.
+# keeps the answer only if theta_k - theta_{k+1} > CHEB_GAP_RTOL * theta_1:
+# an exact-rank G of rank k to m converges at the first step, and one of rank
+# below k, or all zero, fails the gap. Unconverged, it gives up once the Ritz
+# values predict that the filter sweeps left of CHEB_MAX_SWEEPS cannot reach
+# that residual (a spectrum without a gap after k costs about one sweep
+# before the full eigh), or once theta_m <= CHEB_NULL_RTOL * theta_1 leaves
+# the filter's damped interval [0, theta_m] empty.
 CHEB_MIN_N = 64
 CHEB_MIN_RATIO = 5
 CHEB_DEGREE = 8
@@ -107,9 +109,9 @@ def _top_right_vectors(X: np.ndarray, k: int) -> np.ndarray:
 
 def _top_eigvecs(G: np.ndarray, k: int):
     """Top k eigenvalues (descending) and eigenvectors of a symmetric positive
-    semidefinite n x n matrix G, by Chebyshev-filtered subspace iteration;
-    np.linalg.eigh of G where the iteration would not pay or cannot vouch
-    for its answer (see the CHEB_* constants).
+    semidefinite n x n matrix G, by Chebyshev-filtered subspace iteration,
+    whose converged Ritz pairs stand whatever G's rank if the gap at k passes;
+    else np.linalg.eigh of G, as where the iteration would not pay (CHEB_*).
     """
     n = G.shape[0]
     m = k + max(k, 4)
@@ -121,18 +123,17 @@ def _top_eigvecs(G: np.ndarray, k: int):
             theta, Z = theta[::-1], Z[:, ::-1]
             Y, GY = Y @ Z, GY @ Z
             t1, tm = theta[0], theta[-1]
-            if not tm > CHEB_NULL_RTOL * t1:  # also catches an all-zero G
-                break
             R = GY[:, :k] - Y[:, :k] * theta[:k]
-            excess = math.sqrt(np.max(np.sum(R * R, axis=0))) / (CHEB_RES_RTOL * t1)
-            if excess <= 1.0:
+            res = math.sqrt(np.max(np.sum(R * R, axis=0)))
+            if res <= CHEB_RES_RTOL * t1:  # an all-zero G: 0 <= 0, then no gap
                 if theta[k - 1] - theta[k] > CHEB_GAP_RTOL * t1:
                     return theta[:k], Y[:, :k]
                 break
             # A sweep shrinks the residuals by about T_d(2 theta_k / theta_m - 1);
-            # give up now if the sweeps left cannot close the excess.
-            shrink = CHEB_DEGREE * math.acosh(2.0 * theta[k - 1] / tm - 1.0)  # log T_d
-            if math.log(excess) > sweeps_left * shrink:
+            # give up now if the filter's interval [0, theta_m] is empty (G's
+            # rank is below m) or the sweeps left cannot close the excess.
+            if not tm > CHEB_NULL_RTOL * t1 or math.log(res / (CHEB_RES_RTOL * t1)) > (
+                    sweeps_left * (CHEB_DEGREE * math.acosh(2.0 * theta[k - 1] / tm - 1.0))):
                 break
             Y = np.linalg.qr(_chebyshev_filter(G, Y, GY, tm, t1))[0]
     vals, vecs = np.linalg.eigh(G)
@@ -315,25 +316,27 @@ def _flag_mean_refined(blocks):
     the singular values s of H that decide the tie, and _right_vectors maps
     its top eigenvectors, one or the tied ones, to left singular vectors of H.
 
-    Two blocks first try M = B1^T B2: H^T H has eigenvalues 1 +- sigma_i(M)
-    and 1 (|r1 - r2| times), so one eigh of the smaller of M M^T and M^T M
-    decides the tie, and an untied top pair of principal vectors gives w =
-    B1 u + B2 v (Bjorck & Golub 1973); the second of u, v is M^T u or M v
-    normalized, as dividing by a small sigma_1 loses accuracy. A tie takes H.
+    Two blocks first try M = B1^T B2, the block of smaller rank first so
+    that r1 <= r2: H^T H has eigenvalues 1 +- sigma_i(M) and 1 (r2 - r1
+    times), so one eigh of M M^T decides the tie, and an untied top pair of
+    principal vectors gives w = B1 x + B2 y (Bjorck & Golub 1973), with y =
+    M^T x normalized, as dividing by a small sigma_1 loses accuracy. A tie
+    takes H.
     """
     if len(blocks) == 2:
         B1, B2 = blocks
         M = B1.T @ B2
+        if M.shape[0] > M.shape[1]:  # the smaller rank first: M is r1 x r2, r1 <= r2
+            B1, B2, M = B2, B1, M.T
         r1, r2 = M.shape
-        tall = r1 > r2
-        lam, X = np.linalg.eigh(M.T @ M if tall else M @ M.T)
+        lam, X = np.linalg.eigh(M @ M.T)
         sig = np.sqrt(np.maximum(lam[::-1], 0.0))
-        nxt = 1.0 + sig[1] if sig.size > 1 else 1.0 if r1 != r2 else 1.0 - sig[0]
+        nxt = 1.0 + sig[1] if r1 > 1 else 1.0 if r1 < r2 else 1.0 - sig[0]
         if math.sqrt(max(nxt, 0.0)) < math.sqrt(1.0 + sig[0]) * (1.0 - TIE_RTOL):
             x = X[:, -1]
-            y = M @ x if tall else M.T @ x
+            y = M.T @ x
             y /= math.sqrt(y @ y)
-            w = B1 @ y + B2 @ x if tall else B1 @ x + B2 @ y
+            w = B1 @ x + B2 @ y
             return _fix_sign(w / math.sqrt(w @ w)), False
     H = np.concatenate(blocks, axis=1)
     vals, vecs = np.linalg.eigh(H.T @ H)

@@ -21,12 +21,7 @@ import numpy as np
 # up in every module that imports it by name.
 from .core import (  # noqa: F401
     DecompositionResult, MultiBlockDataset, _path, extract_signal, identify, identify_path)
-from .structure import (
-    IndexOrdering,
-    PartialJointStructure,
-    dissimilarity,
-    to_binary_multiset,
-)
+from .structure import IndexOrdering, PartialJointStructure, dissimilarity
 
 DEFAULT_GRID_DEG = tuple(range(0, 90))  # 0..89 degrees; pi/2 itself is excluded
 
@@ -261,7 +256,7 @@ def mode_structure(structures: Sequence[PartialJointStructure]):
     """Most frequent structure by binary-multiset equality; ties keep the first seen."""
     if not structures:
         raise ValueError("no structures to aggregate")
-    keys = [tuple(sorted(to_binary_multiset(s).items())) for s in structures]
+    keys = [tuple(sorted(s._multiset.items())) for s in structures]
     # a Counter keeps first-seen order, and most_common keeps it among ties
     (best_key, best_count), = Counter(keys).most_common(1)
     return structures[keys.index(best_key)], best_count

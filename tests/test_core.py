@@ -550,6 +550,22 @@ class TestUniquenessChecks:
         assert rep.complement_bases[IndexSet.of(1)].r == 1
         assert rep.complement_bases[IndexSet.of(3)].r == 0
 
+    @pytest.mark.parametrize("delta, shared", [(0.5, True), (2.0, False)])
+    def test_shared_direction_cut(self, delta, shared):
+        # lines a and b at cos = 1 - delta * INTERSECTION_COS_TOL (1e-9,
+        # written out), and a third line mostly along b's tilt g out of a.
+        # Shared, a is the {1,2} intersection and comes off every block,
+        # leaving b's tilt apart from the third line; not shared, a's cosine
+        # to the span of the other two lines exceeds 1 - 1e-9.
+        q = np.linalg.qr(np.random.default_rng(37).standard_normal((8, 3)))[0]
+        a, g, h = q.T
+        c = 1.0 - delta * 1e-9
+        lines = [a, c * a + np.sqrt(1.0 - c * c) * g, 0.9 * g + np.sqrt(0.19) * h]
+        rep = check_relative_independence([OrthonormalBasis(v[:, None]) for v in lines],
+                                          default_ordering(3))
+        assert rep.layer_subspaces[1].r == int(shared)
+        assert rep.layer_independence == {1: shared, 2: True}
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            atoms=st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),

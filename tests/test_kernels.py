@@ -31,7 +31,7 @@ from psidecomp import (
     sine_distance,
     subspace,
 )
-from psidecomp.simgen import generate, model_preset
+from psidecomp.simgen import generate, model_preset, run_once
 from psidecomp.subspace import (
     CHEB_DEGREE,
     CHEB_MIN_N,
@@ -184,12 +184,34 @@ class TestPartialEigensolver:
             assert sizes and n not in sizes
             assert_matches_eigh(G, k, theta, U)
 
-    @pytest.mark.parametrize("case", ["rank_deficient", "zero", "tied", "block_not_below_n"])
+    @pytest.mark.parametrize("rank", [5, 6, 8])
+    def test_exact_rank_gram_keeps_its_ritz_pairs(self, rank):
+        # rank k < r <= m (k = 4, block size 8): the first Rayleigh-Ritz step
+        # holds range(G), so its residuals pass at once and the gap at k
+        # vouches for the pairs
+        rng = np.random.default_rng(11)
+        n, k = 120, 4
+        A = rng.standard_normal((n, rank))
+        G = A @ A.T
+        with full_eigh_sizes() as sizes:
+            theta, U = _top_eigvecs(G, k)
+        assert sizes and n not in sizes
+        assert_matches_eigh(G, k, theta, U)
+
+    def test_noiseless_tuned_fit_runs_no_large_eigh(self):
+        # every Gram of an exact-rank fit, whole data and training halves,
+        # keeps its Ritz pairs
+        with full_eigh_sizes() as sizes:
+            outcome = run_once(model_preset(6), 1000)
+        assert sizes and max(sizes) < CHEB_MIN_N
+        assert outcome.accuracy == 1
+
+    @pytest.mark.parametrize("case", ["rank_below_k", "zero", "tied", "block_not_below_n"])
     def test_falls_back_to_full_eigh(self, case):
         rng = np.random.default_rng(11)
         n, k = 120, 4
-        if case == "rank_deficient":  # rank 6, below the block size 8
-            A = rng.standard_normal((n, 6))
+        if case == "rank_below_k":  # rank 3: theta_k = theta_{k+1} = 0, no gap
+            A = rng.standard_normal((n, 3))
             G = A @ A.T
         elif case == "zero":
             G = np.zeros((n, n))
@@ -507,6 +529,59 @@ class TestTieCut:
         assert degenerate == tied
         # a pair's cross Gram settles it unless tied; three blocks need the full Gram
         assert (sum(blocks) in sizes) == (tied or len(blocks) == 3)
+
+
+# CHEB_GAP_RTOL's and CHEB_NULL_RTOL's values, written out: the inputs below
+# must not move with them.
+GAP_CUT, NULL_CUT = 1e-3, 1e-12
+
+
+def first_ritz_values(G, k):
+    """The Ritz values of _top_eigvecs's first Rayleigh-Ritz step, descending."""
+    m = k + max(k, 4)
+    Y = np.linalg.qr(G @ subspace._start_block(G.shape[0], m))[0]
+    return np.linalg.eigvalsh(Y.T @ G @ Y)[::-1]
+
+
+class TestEigensolverCuts:
+    """A converged block is kept only with a gap at k above GAP_CUT * theta_1,
+    and an unconverged one is filtered only with theta_m above NULL_CUT *
+    theta_1; just across either cut a full eigh runs."""
+
+    @pytest.mark.parametrize("delta, falls_back", [(0.5, True), (2.0, False)])
+    def test_gap_at_k(self, delta, falls_back):
+        # theta_k - theta_{k+1} = delta * GAP_CUT * theta_1, the rest of the
+        # block well above a tail at <= 0.1, so the residuals converge
+        rng = np.random.default_rng(29)
+        n, k = 120, 4
+        G = spectral_gram(rng, np.concatenate([[1.0, 0.9, 0.8, 0.7, 0.7 - delta * GAP_CUT],
+                                               [0.6, 0.5, 0.4], 0.1 * rng.random(n - 8)]))
+        with full_eigh_sizes() as sizes:
+            theta, U = _top_eigvecs(G, k)
+        assert (n in sizes) == falls_back
+        assert_matches_eigh(G, k, theta, U)
+
+    @pytest.mark.parametrize("tail, ratio, falls_back", [(7e-13, 0.5, True), (2.8e-12, 2.0, False)])
+    def test_null_level(self, tail, ratio, falls_back):
+        # rank 6 below the block size 8, plus a tail that sets theta_m and
+        # keeps the first step's residuals from passing; at or below the cut
+        # the filter's interval [0, theta_m] counts as empty
+        rng = np.random.default_rng(31)
+        n, k = 120, 4
+        G = spectral_gram(rng, np.concatenate([[1.0, 0.8, 0.6, 0.4, 0.3, 0.2],
+                                               tail * rng.random(n - 6)]))
+        theta = first_ritz_values(G, k)
+        assert theta[-1] / theta[0] == pytest.approx(ratio * NULL_CUT, rel=0.05)
+        sweeps = []
+        real = subspace._chebyshev_filter
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subspace, "_chebyshev_filter",
+                       lambda *args: sweeps.append(1) or real(*args))
+            with full_eigh_sizes() as sizes:
+                theta, U = _top_eigvecs(G, k)
+        assert (n in sizes) == falls_back
+        assert len(sweeps) == (0 if falls_back else 1)
+        assert_matches_eigh(G, k, theta, U)
 
 
 class TestGateSharesCoefficients:

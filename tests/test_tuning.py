@@ -235,8 +235,9 @@ class TestSelectLambda:
 
     @pytest.mark.parametrize("model_id", [3, 6])
     def test_each_structure_builds_its_multiset_once(self, monkeypatch, model_id):
-        # dissimilarity reads the binary multiset each structure builds once:
-        # the training structure's, and one per whole-path interval
+        # dissimilarity and mode_structure read the binary multiset each
+        # structure builds once: the training structure's, and one per
+        # whole-path interval
         model = model_preset(model_id, snr=15.0, n=60, block_size=40)
         data = generate(model, seed=4).dataset()
         signals = [extract_signal(X, r, check_centering=False)
@@ -247,11 +248,22 @@ class TestSelectLambda:
         real = structure.to_binary_multiset
         monkeypatch.setattr(structure, "to_binary_multiset",
                             lambda s: calls.append(s) or real(s))
+        results = []
         for seed, most in ((4, 1 + len(whole)), (5, 1)):  # the second reuses the path's
             calls.clear()
-            select_lambda(data, model.block_ranks(), model.ordering, default_grid(),
-                          seed=seed, whole_path=whole)
+            results.append(select_lambda(data, model.block_ranks(), model.ordering,
+                                         default_grid(), seed=seed, whole_path=whole))
             assert 0 < len(calls) <= most
+        # mode_structure reads the same cache: the structures above build
+        # nothing more, and a new one builds once however often it is listed
+        calls.clear()
+        mode_structure([t.structure_train for t in results]
+                       + [res.structure for _, _, res in whole])
+        assert calls == []
+        fresh = make_structure(3, {(1, 2): 1})
+        mode_structure([fresh, fresh, *[t.structure_train for t in results]])
+        mode_structure([fresh])
+        assert calls == [fresh]
 
     def test_deterministic(self):
         model = model_preset(3, snr=15.0, n=50, block_size=40)

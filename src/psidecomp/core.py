@@ -21,6 +21,7 @@ from .subspace import (
     _deflate_cols,
     _fix_sign,
     _flag_mean_refined,
+    _pair_stage,
     _sine,
     _top_right_vectors,
     orthonormalize,
@@ -175,7 +176,7 @@ class _Checkpoint:
     at the gate. ``gate`` is the candidate that was rejected there, as (w,
     degenerate, angles, c) with c the participants' coefficients B_i^T w, so a
     resume decides it again without recomputing its flag mean; it is None for
-    the start of a run.
+    the start of a run, and (None, False, angles, None) at a pair stage's start.
     """
 
     stage: int
@@ -196,16 +197,18 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
     ``angle_threshold``.
 
     ``per_stage`` projects the other blocks off all of a stage's claimed
-    directions with one ``_complement`` each, rather than one per direction.
-    The spans are the same up to rounding, but a singleton stage's columns
-    are not (ROADMAP item 3), so only fits whose columns no one reads set it.
+    directions with one ``_complement`` each, rather than one per direction,
+    and takes an untied two-block stage from one SVD (``_pair_stage``), whose
+    rejected gate keeps its checkpoint at the stage start. The spans are the
+    same up to rounding, but a singleton stage's columns are not (ROADMAP
+    item 3), so only fits whose columns no one reads set it.
     """
     K = ordering.K
     n = signals[0].score_basis.n
     work = list(cp.work)
     finished = list(cp.finished)
     records = list(cp.records)
-    gate = cp.gate
+    gate = cp.gate if cp.gate and cp.gate[0] is not None else None  # a pair stage reruns its SVD
     rejected = []
 
     for stage in range(cp.stage, len(ordering)):
@@ -216,6 +219,13 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
             # The block's leftover basis is claimed as it stands.
             mat, work[idx[0]] = work[idx[0]], np.zeros((n, 0))
             claimed = mat.T
+        elif per_stage and len(idx) == 2 and gate is None and (
+                pair := _pair_stage(work[idx[0]], work[idx[1]], angle_threshold)):
+            if pair[4] is not None:
+                rejected.append(_Checkpoint(stage, tuple(work), (), tuple(finished),
+                                            tuple(records), (None, False, (pair[4],) * 2, None)))
+            mat, angles, work[idx[0]], work[idx[1]], _ = pair
+            records += [AcceptanceRecord(subset, (a, a), False) for a in angles]
         else:
             while all(work[i].shape[1] > 0 for i in idx):
                 if gate is None:

@@ -316,9 +316,8 @@ def _flag_mean_refined(blocks):
     the singular values s of H that decide the tie, and _right_vectors maps
     its top eigenvectors, one or the tied ones, to left singular vectors of H.
 
-    Two blocks first try M = B1^T B2, the block of smaller rank first so
-    that r1 <= r2: H^T H has eigenvalues 1 +- sigma_i(M) and 1 (r2 - r1
-    times), so one eigh of M M^T decides the tie, and an untied top pair of
+    Two blocks first try M = B1^T B2, the block of smaller rank first: one
+    eigh of M M^T decides the tie (_pair_tied), and an untied top pair of
     principal vectors gives w = B1 x + B2 y (Bjorck & Golub 1973), with y =
     M^T x normalized, as dividing by a small sigma_1 loses accuracy. A tie
     takes H.
@@ -328,11 +327,8 @@ def _flag_mean_refined(blocks):
         M = B1.T @ B2
         if M.shape[0] > M.shape[1]:  # the smaller rank first: M is r1 x r2, r1 <= r2
             B1, B2, M = B2, B1, M.T
-        r1, r2 = M.shape
         lam, X = np.linalg.eigh(M @ M.T)
-        sig = np.sqrt(np.maximum(lam[::-1], 0.0))
-        nxt = 1.0 + sig[1] if r1 > 1 else 1.0 if r1 < r2 else 1.0 - sig[0]
-        if math.sqrt(max(nxt, 0.0)) < math.sqrt(1.0 + sig[0]) * (1.0 - TIE_RTOL):
+        if not _pair_tied(np.sqrt(np.maximum(lam[::-1], 0.0)), *M.shape):
             x = X[:, -1]
             y = M.T @ x
             y /= math.sqrt(y @ y)
@@ -351,6 +347,38 @@ def _flag_mean_refined(blocks):
         keep = vals >= vals[-1] - 1e-9
         T = T @ vecs[:, keep]
     return _fix_sign(T[:, 0]), bool(tied > 1)
+
+
+def _pair_tied(sig: np.ndarray, r1: int, r2: int) -> bool:
+    """Whether bases of ranks r1 <= r2 and principal cosines sig tie: [B1 B2]
+    has squared singular values 1 + sig[0], then 1 + sig[1], 1 or 1 - sig[0]."""
+    nxt = 1.0 + sig[1] if r1 > 1 else 1.0 if r1 < r2 else 1.0 - sig[0]
+    return not math.sqrt(max(nxt, 0.0)) < math.sqrt(1.0 + sig[0]) * (1.0 - TIE_RTOL)
+
+
+def _pair_stage(B1: np.ndarray, B2: np.ndarray, angle_threshold: float):
+    """A two-block stage of identify from one SVD of B1^T B2: (W, angles, B1',
+    B2', stop), or None when a candidate that its gates read is tied.
+
+    Untied, the stage's flag means in turn bisect the principal pairs u_j =
+    B1 x_j, v_j = B2 y_j (Bjorck & Golub 1973), at arcsin(||u_j - v_j|| / 2)
+    to both bases. W holds those below ``angle_threshold``, sign-fixed, B1'
+    and B2' the bases left once they are peeled, stop the first rejected angle.
+    """
+    if swap := B1.shape[1] > B2.shape[1]:  # the smaller rank first
+        B1, B2 = B2, B1
+    X, sig, Yt = np.linalg.svd(B1.T @ B2)
+    U, V = B1 @ X, B2 @ Yt.T
+    r1, r2 = B1.shape[1], B2.shape[1]
+    angles = np.arcsin(np.minimum(np.linalg.norm(U - V[:, :r1], axis=0) / 2.0, 1.0))
+    below = angles < angle_threshold
+    a = r1 if below.all() else int(below.argmin())
+    if any(_pair_tied(sig[j:], r1 - j, r2 - j) for j in range(min(a + 1, r1))):
+        return None
+    W = np.column_stack([_fix_sign(w / math.sqrt(w @ w)) for w in (U[:, :a] + V[:, :a]).T]
+                        ) if a else U[:, :0]
+    rest = (V[:, a:], U[:, a:]) if swap else (U[:, a:], V[:, a:])
+    return W, angles[:a].tolist(), *rest, float(angles[a]) if a < r1 else None
 
 
 def deflate(B: OrthonormalBasis, w: UnitDirection) -> OrthonormalBasis:

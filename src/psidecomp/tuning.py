@@ -1,13 +1,8 @@
 # Data-splitting selection of the angle threshold: fit on a random half,
 # score the held-out half through an orthogonal-Procrustes step, minimize the
 # empirical risk over the threshold grid, then pick the whole-data threshold
-# whose structure is closest to the chosen training structure.
-#
-# The risk is computed from r-sized pieces: block k's training loadings are
-# L_k C_k with L_k = X_train,k V_k and C_k = V_k^T W_(k), and as the
-# Procrustes test scores W_test have orthonormal columns, ||X_test,k -
-# L_k C_k W_test^T||^2 = ||X_test,k||^2 - 2 <A_k C_k, W_test> +
-# <C_k, L_k^T L_k C_k> with A_k = X_test,k^T L_k (see select_lambda).
+# whose structure is closest to the chosen training structure. The risk is
+# computed from r-sized pieces (see select_lambda).
 
 from __future__ import annotations
 
@@ -22,8 +17,11 @@ import numpy as np
 from .core import (  # noqa: F401
     DecompositionResult, MultiBlockDataset, _path, extract_signal, identify, identify_path)
 from .structure import IndexOrdering, PartialJointStructure, dissimilarity
+from .subspace import OrthonormalBasis
 
 DEFAULT_GRID_DEG = tuple(range(0, 90))  # 0..89 degrees; pi/2 itself is excluded
+# Below this eigenvalue ratio the risk's r x r Gram loses accuracy (an SVD instead)
+RISK_EIGH_RTOL = 1e-4
 
 
 def default_grid() -> np.ndarray:
@@ -117,24 +115,40 @@ def _heldout_pieces(test_blocks, train_signals: Sequence) -> tuple:
     return np.hstack(V), np.linalg.qr(np.hstack(A), mode="r"), S_diag, rows, np.array(denoms)
 
 
+def _stacked_coordinates(train_signals: Sequence, pieces: tuple) -> tuple:
+    """Training signals and pieces in the coordinates of the thin QR [V_1 ...
+    V_K] = Q0 T: block k's basis is T_k = Q0^T V_k, with R0 = sum_k r_k rows
+    (n_train if fewer), and V^T W = T^T W' for scores W = Q0 W' on the T_k."""
+    T = np.linalg.qr(pieces[0], mode="r")
+    return ([replace(sig, score_basis=OrthonormalBasis(T[:, pieces[3] == k]))
+             for k, sig in enumerate(train_signals)], (T, *pieces[1:]))
+
+
 def _heldout_risk(pieces: tuple, result) -> float:
     """``empirical_risk`` of ``result``'s loadings and Procrustes test scores.
 
     The r-space form of estimate_loadings -> stacked_loadings -> test_scores
-    -> empirical_risk (see ``select_lambda``), equal to it up to rounding.
+    -> empirical_risk (see ``select_lambda``), equal to it up to rounding,
+    for ``pieces`` in ``result``'s coordinates (``_stacked_coordinates``).
     With C = [C_1; ...; C_K], X_test^T U = [A_1 ... A_K] C = Q (R C), so
-    for R C = P S' Q'^T the Procrustes scores are W_test = Q P Q'^T, and
-    <A_k C_k, W_test> = <C_k, (R^T P Q'^T)_k>: the SVD is of an R0 x r
-    matrix, and no n_test-sized matrix is formed.
+    W_test = Q polar(R C) and <A_k C_k, W_test> = <C_k, (R^T polar(R C))_k>,
+    with polar(R C) = R C E L^(-1/2) E^T for the r x r eigh (R C)^T R C =
+    E L E^T, or from the SVD of R C when L spans 1 / RISK_EIGH_RTOL or more.
     """
     V, R, S, rows, denoms = pieces
     W, labels = result.stacked_scores()
     inside = np.array([[k in s for s in labels] for k in range(1, denoms.size + 1)],
                       dtype=float)
     C = (V.T @ W) * inside[rows]
-    P, _, Qt = np.linalg.svd(R @ C, full_matrices=False)
+    RC = R @ C
+    lam, E = np.linalg.eigh(RC.T @ RC)
+    if lam[0] > RISK_EIGH_RTOL * lam[-1]:
+        pulled = (R.T @ RC) @ ((E / np.sqrt(lam)) @ E.T)
+    else:
+        P, _, Qt = np.linalg.svd(RC, full_matrices=False)
+        pulled = R.T @ (P @ Qt)
     # per column of V: its part of -2 <A_k C_k, W_test> + <C_k, S_k C_k>
-    terms = np.sum(C * (S @ C - 2.0 * (R.T @ (P @ Qt))), axis=1)
+    terms = np.sum(C * (S @ C - 2.0 * pulled), axis=1)
     return float(np.sum((denoms + np.bincount(rows, terms, denoms.size)) / denoms))
 
 
@@ -169,20 +183,19 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
     threshold. Deterministic given (data, ranks, ordering, grid, seed).
 
     The risk is ``empirical_risk`` of the training loadings and Procrustes
-    test scores, computed in r-dimensional space. Block k's loadings are
-    L_k C_k, with L_k = X_train,k V_k for the training score basis V_k and
-    C_k = V_k^T W_(k), where W_(k) is the training scores with the columns
-    of index-sets without k set to zero. So X_test^T U = sum_k A_k C_k with
-    A_k = X_test,k^T L_k, and ||X_test,k - L_k C_k W_test^T||^2 equals
-    ||X_test,k||^2 - 2 <A_k C_k, W_test> + <C_k, L_k^T L_k C_k>: the last
-    term loses W_test because W_test = P Q^T has orthonormal columns. L_k is
-    the training signal's factor, and A_k and L_k^T L_k are formed once per
-    split, so no interval of the path builds a p-sized matrix.
+    test scores, in r-dimensional space. Block k's loadings are L_k C_k, with
+    the factor L_k = X_train,k V_k of its training basis V_k and C_k = V_k^T
+    W_(k), where W_(k) zeroes the training scores of index-sets without k.
+    So X_test^T U = sum_k A_k C_k with A_k = X_test,k^T L_k, and as W_test
+    has orthonormal columns, ||X_test,k - L_k C_k W_test^T||^2 = ||X_test,k||^2
+    - 2 <A_k C_k, W_test> + <C_k, L_k^T L_k C_k>. A_k and L_k^T L_k are
+    formed once per split: no interval of the path builds a p-sized matrix.
 
-    The training path projects each stage's claimed directions out of the
-    other blocks at once, not one at a time as ``identify_path`` does. Its
-    spans are the same up to rounding, and only its structures and risks
-    are read. The whole-data path computed here keeps the per-direction
+    The training fit runs on ``_resume``'s per-stage schedule, one SVD per
+    pair stage and one projection per stage and block, and in the R0 =
+    sum_k r_k coordinates of its stacked bases (``_stacked_coordinates``),
+    not in the n_train-dimensional sample space. Only its structures and
+    risks are read. The whole-data path computed here keeps the per-direction
     schedule, because the singleton columns of ``decomposition_hat`` depend
     on it (ROADMAP item 3).
 
@@ -196,9 +209,8 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("threshold grid is empty")
-    K = data.K
-    if len(ranks) != K:
-        raise ValueError(f"expected {K} ranks, got {len(ranks)}")
+    if len(ranks) != data.K:
+        raise ValueError(f"expected {data.K} ranks, got {len(ranks)}")
 
     plan = split(data.n, seed)
     n_train = len(plan.train)
@@ -208,18 +220,18 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
                 f"block {k} has rank {r}, but tuning fits on a training half of "
                 f"n_train = {n_train} of the n = {data.n} samples; lower the rank "
                 f"to at most {n_train}")
-    tr = list(plan.train)
-    te = list(plan.test)
+    tr, te = list(plan.train), list(plan.test)
     # Each block's training and test copies are made one at a time and dropped
     # once used: the training signal keeps only its p x r factor.
     train_signals = [extract_signal(X[:, tr], r, check_centering=False)
                      for X, r in zip(data.blocks, ranks)]
-    pieces = _heldout_pieces((X[:, te] for X in data.blocks), train_signals)
+    coords, pieces = _stacked_coordinates(
+        train_signals, _heldout_pieces((X[:, te] for X in data.blocks), train_signals))
 
     # identify is piecewise constant in the threshold, so the held-out risk is
     # computed once per interval of the path.
     risks, train_structures = [], []
-    for i0, i1, res in _path(train_signals, ordering, grid, per_stage=True):
+    for i0, i1, res in _path(coords, ordering, grid, per_stage=True):
         r_total = res.structure.total_rank()
         if r_total > len(te):
             raise ValueError(

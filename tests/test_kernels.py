@@ -39,9 +39,11 @@ from psidecomp.subspace import (
     TIE_RTOL,
     OrthonormalBasis,
     UnitDirection,
+    _complement,
     _deflate_cols,
     _fix_sign,
     _flag_mean_refined,
+    _pair_stage,
     _sine,
     _top_eigvecs,
     orthonormalize,
@@ -582,6 +584,68 @@ class TestEigensolverCuts:
         assert (n in sizes) == falls_back
         assert len(sweeps) == (0 if falls_back else 1)
         assert_matches_eigh(G, k, theta, U)
+
+
+# REPROJECT_TOL's value, written out: the inputs below must not move with it.
+REPROJECT_CUT = 1e-2
+
+
+class TestReprojectCut:
+    """_complement projects its kept directions once more off every claimed
+    direction when it keeps one below REPROJECT_CUT, and only then."""
+
+    @pytest.mark.parametrize("delta, passes", [(0.5, 1), (2.0, 0)])
+    def test_second_pass_at_the_cut(self, delta, passes):
+        # a line at sine s = delta * REPROJECT_CUT to the claimed e_1 keeps
+        # the direction e_2 at singular value s
+        s = delta * REPROJECT_CUT
+        eye = np.eye(3)
+        cols = (math.sqrt(1.0 - s * s) * eye[:, 0] + s * eye[:, 1])[:, None]
+        calls = []
+
+        def claimed():
+            calls.append(1)
+            return eye[:, :1]
+
+        kept = _complement(cols, eye[:, :1], claimed)
+        assert len(calls) == passes
+        np.testing.assert_allclose(np.abs(kept[:, 0]), eye[:, 1], rtol=0.0, atol=1e-12)
+
+
+class TestPairStageKernel:
+    """_pair_stage's bisectors and angles are the flag means and gate angles
+    that the per-direction loop of identify takes on an untied pair."""
+
+    @pytest.mark.parametrize("ranks", [(3, 5), (5, 3), (4, 4), (1, 6)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_per_direction_stage(self, ranks, seed):
+        rng = np.random.default_rng(seed)
+        bases = [orthonormalize(rng.standard_normal((30, r))) for r in ranks]
+        result = identify(signals_of_bases(bases), default_ordering(2), 1.5)
+        stage = _pair_stage(bases[0].columns, bases[1].columns, 1.5)
+        assert stage is not None
+        W, angles, B1, B2, stop = stage
+        m = min(ranks)
+        assert W.shape == (30, m) and stop is None
+        np.testing.assert_allclose(W, result.scores[IndexSet((1, 2))].columns,
+                                   rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose([rec.angles for rec in result.diagnostics],
+                                   [(a, a) for a in angles], rtol=0.0, atol=1e-12)
+        # the bases left are orthonormal, orthogonal to W, and inside the inputs
+        for B, left in zip(bases, (B1, B2)):
+            assert left.shape == (30, B.r - m)
+            np.testing.assert_allclose(left.T @ left, np.eye(B.r - m), atol=1e-14)
+            assert np.all(np.abs(W.T @ left) <= 1e-14)
+            np.testing.assert_allclose(B.columns @ (B.columns.T @ left), left, atol=1e-14)
+
+    def test_stops_at_the_first_rejected_candidate(self):
+        rng = np.random.default_rng(3)
+        B1, B2 = (orthonormalize(rng.standard_normal((30, 4))).columns for _ in range(2))
+        _, angles, _, _, _ = _pair_stage(B1, B2, 1.5)
+        lam = 0.5 * (angles[1] + angles[2])
+        W, accepted, left1, left2, stop = _pair_stage(B1, B2, lam)
+        assert W.shape[1] == 2 and accepted == angles[:2] and left1.shape[1] == 2
+        assert accepted[-1] < lam <= stop == angles[2]
 
 
 class TestGateSharesCoefficients:

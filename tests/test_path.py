@@ -23,12 +23,13 @@ from psidecomp import (
     identify,
     identify_path,
     model_preset,
+    orthonormalize,
     select_lambda,
     split,
 )
 from psidecomp import core
 from psidecomp.subspace import PEEL_TOL
-from psidecomp.tuning import _heldout_pieces, _heldout_risk
+from psidecomp.tuning import _heldout_pieces, _heldout_risk, _stacked_coordinates
 
 from cases import signals_of_bases, split_halves
 
@@ -165,18 +166,19 @@ def brute_force_select_lambda(data, ranks, ordering, grid, seed, per_stage=True)
     """select_lambda as a per-grid-point sweep, for comparison.
 
     Each training fit is the private path at a one-point grid with
-    ``per_stage`` set as select_lambda sets it; the whole-data fits are
-    ``identify``, which keeps the per-direction schedule.
+    ``per_stage`` set as select_lambda sets it, in the coordinates of the
+    stacked training bases that select_lambda fits in; the whole-data fits
+    are ``identify``, which keeps the per-direction schedule.
     """
     train, test = split_halves(data, seed)
     train_signals = [extract_signal(B, r, check_centering=False)
                      for B, r in zip(train, ranks)]
     # The held-out risk of one training result is select_lambda's own
     # function; tests/test_tuning.py pins it to the p-space helpers.
-    pieces = _heldout_pieces(test, train_signals)
+    coords, pieces = _stacked_coordinates(train_signals, _heldout_pieces(test, train_signals))
     risks, train_structures = [], []
     for lam in grid:
-        res = core._path(train_signals, ordering, [lam], per_stage)[0][2]
+        res = core._path(coords, ordering, [lam], per_stage)[0][2]
         risks.append(_heldout_risk(pieces, res))
         train_structures.append(res.structure)
     i_tilde = int(np.argmin(risks))
@@ -223,6 +225,84 @@ class TestSelectLambdaOnPath:
                        for i0, i1, res in core._path(signals, model.ordering, default_grid(), flag)]
                       for flag in (True, False)]
         assert structures[0] == structures[1]
+
+
+def assert_per_stage_path_matches(signals, ordering, grid):
+    """The per-stage path has identify_path's intervals, and its structures."""
+    got = core._path(signals, ordering, grid, per_stage=True)
+    want = identify_path(signals, ordering, grid)
+    assert ([(i0, i1, res.structure.entries) for i0, i1, res in got]
+            == [(i0, i1, res.structure.entries) for i0, i1, res in want])
+    return got
+
+
+def count_flag_means(monkeypatch):
+    calls = []
+    flag_mean = core._flag_mean_refined
+
+    def counted(blocks):
+        calls.append(len(blocks))
+        return flag_mean(blocks)
+
+    monkeypatch.setattr(core, "_flag_mean_refined", counted)
+    return calls
+
+
+class TestPairStage:
+    """A per-stage path takes each two-block stage from one SVD of the pair's
+    cross Gram, unless a candidate its gates read is tied."""
+
+    @pytest.mark.parametrize("model_id", range(1, 7))
+    def test_noiseless_whole_data_paths(self, model_id):
+        # Exactly shared subspaces tie the pair stages. The tie route puts a
+        # flag mean inside one block, at angles (0, 90) degrees, where the
+        # bisector of the pair would sit at 45.
+        model = model_preset(model_id, snr=math.inf)
+        for seed in (1000, 1001, 1002, 1003):
+            assert_per_stage_path_matches(whole_signals(model, seed), model.ordering,
+                                          default_grid())
+
+    def test_untied_pair_stage_takes_no_flag_mean(self, monkeypatch):
+        # bisector angles are at most 45 degrees, so the grid accepts all three
+        rng = np.random.default_rng(11)
+        signals = signals_of_bases([orthonormalize(rng.standard_normal((20, 3)))
+                                    for _ in range(2)])
+        ordering, grid = default_ordering(2), default_grid()
+        calls = count_flag_means(monkeypatch)
+        got = assert_per_stage_path_matches(signals, ordering, grid)
+        # identify_path ran after the per-stage path: one flag mean per candidate
+        assert calls == [2, 2, 2]
+        assert dict(got[-1][2].structure.entries)[IndexSet((1, 2))] == 3
+
+    def test_identical_blocks_take_the_tie_route(self, monkeypatch):
+        # the data of TestIdentifyPath::test_identical_blocks_flag_mean_tie
+        model = model_preset(1, snr=15.0, n=60, block_size=50)
+        truth = generate(model, 4)
+        X = truth.blocks[0]
+        signals = [extract_signal(B, 2, check_centering=False)
+                   for B in (X, X.copy(), truth.blocks[2])]
+        calls = count_flag_means(monkeypatch)
+        path = assert_per_stage_path_matches(signals, model.ordering, default_grid())
+        assert 2 in calls
+        records = [rec for _, _, res in path for rec in res.diagnostics]
+        assert any(rec.degenerate for rec in records)
+
+    def test_stacked_coordinates_wider_than_the_training_half(self):
+        # n_train = 10 < R0 = 24: the coordinates are those of R^10
+        model = model_preset(6, snr=15.0, n=20, block_size=30)
+        data, ranks, grid = generate(model, 1000).dataset(), model.block_ranks(), default_grid()
+        got = select_lambda(data, ranks, model.ordering, grid, 1000)
+        train, test = split_halves(data, 1000)
+        signals = [extract_signal(B, r, check_centering=False) for B, r in zip(train, ranks)]
+        pieces = _heldout_pieces(test, signals)
+        assert _stacked_coordinates(signals, pieces)[1][0].shape == (10, 24)
+        risks, structures = [], []
+        for i0, i1, res in core._path(signals, model.ordering, grid, per_stage=True):
+            risks += [_heldout_risk(pieces, res)] * (i1 - i0)
+            structures += [res.structure.entries] * (i1 - i0)
+        np.testing.assert_allclose([r for _, r in got.risk_curve], risks, rtol=1e-12, atol=0.0)
+        assert got.lambda_tilde == grid[int(np.argmin(risks))]
+        assert got.structure_train.entries == structures[int(np.argmin(risks))]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -5,7 +5,10 @@ import pytest
 import scipy.linalg
 
 from psidecomp import (
+    DecompositionResult,
+    IndexSet,
     MultiBlockDataset,
+    OrthonormalBasis,
     default_grid,
     default_ordering,
     empirical_risk,
@@ -171,6 +174,44 @@ class TestHeldOutRisk:
         for _, _, res in path:
             assert _heldout_risk(pieces, res) == pytest.approx(
                 p_space_risk(signals, test, res), rel=1e-12)
+
+
+# RISK_EIGH_RTOL's value, written out: the inputs below must not move with it.
+RISK_CUT = 1e-4
+
+
+class TestRiskEighCut:
+    """The held-out risk takes the polar factor of R C from the eigh of its
+    r x r Gram when the Gram's eigenvalues lie more than RISK_CUT apart in
+    ratio, and from an SVD of R C at or below that."""
+
+    @pytest.mark.parametrize("delta, svd_calls", [(0.5, 1), (2.0, 0)])
+    def test_route_flips_at_the_cut(self, monkeypatch, delta, svd_calls):
+        # Two singleton sets in R^2 with V = I, so C = I and R C = R = D O
+        # for D = diag(1, s), s^2 = delta * RISK_CUT: polar(R C) = O, and
+        # block k's term is S_kk - 2 (O^T D O)_kk.
+        s, t = math.sqrt(delta * RISK_CUT), 0.3
+        O = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        D = np.diag([1.0, s])
+        S, denoms = np.diag([2.0, 3.0]), np.array([4.0, 5.0])
+        pieces = (np.eye(2), D @ O, S, np.array([0, 1]), denoms)
+        eye = np.eye(2)
+        result = DecompositionResult(
+            {IndexSet((1, 2)): OrthonormalBasis(eye[:, :0]),
+             IndexSet((1,)): OrthonormalBasis(eye[:, :1]),
+             IndexSet((2,)): OrthonormalBasis(eye[:, 1:])}, 0.1, default_ordering(2))
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        risk = _heldout_risk(pieces, result)
+        assert len(calls) == svd_calls
+        pulled = np.diag(O.T @ D @ O)
+        want = np.sum((denoms + np.diag(S) - 2.0 * pulled) / denoms)
+        assert risk == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestSelectLambda:

@@ -173,10 +173,11 @@ class _Checkpoint:
 
     ``stage`` indexes the ordering; ``work``, ``claimed``, ``finished``
     ((index-set, basis) per finished stage) and ``records`` are copies taken
-    at the gate. ``gate`` is the candidate that was rejected there, as (w,
-    degenerate, angles, c) with c the participants' coefficients B_i^T w, so a
-    resume decides it again without recomputing its flag mean; it is None for
-    the start of a run, and (None, False, angles, None) at a pair stage's start.
+    at the gate. ``stop`` is the largest angle of the candidate rejected
+    there, -inf at the start of a run. ``gate`` is that candidate as (w,
+    degenerate, angles, c), with c the participants' coefficients B_i^T w, so a
+    resume decides it again without recomputing its flag mean. It is None at
+    the start of a run and of a pair stage, whose resume takes its SVD again.
     """
 
     stage: int
@@ -185,6 +186,7 @@ class _Checkpoint:
     finished: tuple
     records: tuple
     gate: tuple | None = None
+    stop: float = -math.inf
 
 
 def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Checkpoint,
@@ -196,19 +198,20 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
     start whenever every gate before ``cp`` decides the same way at
     ``angle_threshold``.
 
-    ``per_stage`` projects the other blocks off all of a stage's claimed
-    directions with one ``_complement`` each, rather than one per direction,
-    and takes an untied two-block stage from one SVD (``_pair_stage``), whose
-    rejected gate keeps its checkpoint at the stage start. The spans are the
-    same up to rounding, but a singleton stage's columns are not (ROADMAP
-    item 3), so only fits whose columns no one reads set it.
+    An untied two-block stage takes all its candidates from one SVD
+    (``_pair_stage``) and keeps a rejected gate's checkpoint at the stage
+    start. ``per_stage`` keeps the bases that SVD leaves and projects the
+    other blocks off a stage's claimed directions at once; without it, each
+    direction is peeled and projected off in turn. The spans agree up to
+    rounding, but a singleton stage's columns do not (ROADMAP item 3), so
+    only fits whose columns no one reads set it.
     """
     K = ordering.K
     n = signals[0].score_basis.n
     work = list(cp.work)
     finished = list(cp.finished)
     records = list(cp.records)
-    gate = cp.gate if cp.gate and cp.gate[0] is not None else None  # a pair stage reruns its SVD
+    gate = cp.gate
     rejected = []
 
     for stage in range(cp.stage, len(ordering)):
@@ -219,12 +222,19 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
             # The block's leftover basis is claimed as it stands.
             mat, work[idx[0]] = work[idx[0]], np.zeros((n, 0))
             claimed = mat.T
-        elif per_stage and len(idx) == 2 and gate is None and (
+        elif len(idx) == 2 and gate is None and (
                 pair := _pair_stage(work[idx[0]], work[idx[1]], angle_threshold)):
-            if pair[4] is not None:
+            mat, angles, *left, stop = pair
+            if stop is not None:
                 rejected.append(_Checkpoint(stage, tuple(work), (), tuple(finished),
-                                            tuple(records), (None, False, (pair[4],) * 2, None)))
-            mat, angles, work[idx[0]], work[idx[1]], _ = pair
+                                            tuple(records), stop=stop))
+            claimed = mat.T
+            if per_stage:
+                work[idx[0]], work[idx[1]] = left
+            else:
+                for w in claimed:
+                    for i in idx:
+                        work[i] = _deflate_cols(work[i], w)
             records += [AcceptanceRecord(subset, (a, a), False) for a in angles]
         else:
             while all(work[i].shape[1] > 0 for i in idx):
@@ -239,7 +249,7 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
                 if not all(a < angle_threshold for a in angles):
                     rejected.append(_Checkpoint(
                         stage, tuple(work), tuple(claimed), tuple(finished),
-                        tuple(records), (w, degenerate, angles, c)))
+                        tuple(records), (w, degenerate, angles, c), max(angles)))
                     break
                 if any(math.sqrt(ci @ ci) <= PEEL_TOL for ci in c):
                     # Nothing to peel: the stage ends as a failed gate would,
@@ -330,14 +340,13 @@ def _path(signals, ordering: IndexOrdering, grid, per_stage: bool):
     saved = [_Checkpoint(0, work, (), (), ())]
     i = 0
     while i < grid.size:
-        k = next(k for k, cp in enumerate(saved)
-                 if cp.gate is None or max(cp.gate[2]) < grid[i])
+        k = next(k for k, cp in enumerate(saved) if cp.stop < grid[i])
         scores, records, rejected = _resume(signals, ordering, grid[i], saved[k],
                                             per_stage)
         saved = saved[:k] + rejected
         # the result's bounds: its accepted gates and the rejected ones kept
         lo = max((max(rec.angles) for rec in records), default=-1.0)
-        hi = min((max(cp.gate[2]) for cp in saved), default=np.inf)
+        hi = min((cp.stop for cp in saved), default=np.inf)
         result = DecompositionResult(scores, float(grid[i]), ordering, records,
                                      (float(lo), float(hi)))
         j = int(np.searchsorted(grid, hi, side="right"))

@@ -15,9 +15,9 @@
 # - A block's score basis needs only the top r eigenvectors of its Gram
 #   matrix, which _top_eigvecs finds by Chebyshev-filtered subspace iteration
 #   (Zhou & Saad 2007), falling back to a full eigh where it would not pay
-#   or cannot vouch for its answer. A flag mean takes one eigh: of order
-#   min(r1, r2) from an untied pair's cross Gram B1^T B2, else of the Gram of
-#   the stacked bases, whose eigenvalues decide the tie and give the direction.
+#   or cannot vouch for its answer. A flag mean takes one eigh of the Gram of
+#   the stacked bases, whose eigenvalues decide the tie and give the direction;
+#   an untied pair stage takes every flag mean from one SVD of B1^T B2.
 
 from __future__ import annotations
 
@@ -315,25 +315,7 @@ def _flag_mean_refined(blocks):
     One eigh of H^T H, H = hstack(blocks), serves both: its eigenvalues give
     the singular values s of H that decide the tie, and _right_vectors maps
     its top eigenvectors, one or the tied ones, to left singular vectors of H.
-
-    Two blocks first try M = B1^T B2, the block of smaller rank first: one
-    eigh of M M^T decides the tie (_pair_tied), and an untied top pair of
-    principal vectors gives w = B1 x + B2 y (Bjorck & Golub 1973), with y =
-    M^T x normalized, as dividing by a small sigma_1 loses accuracy. A tie
-    takes H.
     """
-    if len(blocks) == 2:
-        B1, B2 = blocks
-        M = B1.T @ B2
-        if M.shape[0] > M.shape[1]:  # the smaller rank first: M is r1 x r2, r1 <= r2
-            B1, B2, M = B2, B1, M.T
-        lam, X = np.linalg.eigh(M @ M.T)
-        if not _pair_tied(np.sqrt(np.maximum(lam[::-1], 0.0)), *M.shape):
-            x = X[:, -1]
-            y = M.T @ x
-            y /= math.sqrt(y @ y)
-            w = B1 @ x + B2 @ y
-            return _fix_sign(w / math.sqrt(w @ w)), False
     H = np.concatenate(blocks, axis=1)
     vals, vecs = np.linalg.eigh(H.T @ H)
     s = np.sqrt(np.maximum(vals[::-1], 0.0))

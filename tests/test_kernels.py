@@ -2,10 +2,10 @@
 
 extract_signal takes its score basis from the top eigenvectors of the Gram
 matrix on the block's smaller side, found by Chebyshev-filtered subspace
-iteration with a full eigh as fallback; the flag mean of two bases comes from
-one eigh of their min(r1, r2) cross Gram, and any other, or a tied pair's,
-from one full eigh of the m x m Gram matrix of the stacked bases, which
-decides the tie and gives the direction; deflation writes its Householder
+iteration with a full eigh as fallback; a flag mean comes from one full eigh
+of the m x m Gram matrix of the stacked bases, which decides the tie and gives
+the direction, and an untied two-block stage of identify takes all its flag
+means from one SVD of the pair's cross Gram; deflation writes its Householder
 reflector in closed form. Each is checked here against the full SVD, eigh or
 QR it replaces. A gate of identify forms each participant's coefficients
 B_i^T w once; its angles and deflations must equal the public kernels' bit
@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from psidecomp import (
     IndexSet,
+    core,
     default_ordering,
     deflate,
     extract_signal,
@@ -419,8 +420,6 @@ class TestGramFlagMean:
             with full_eigh_sizes() as sizes:
                 w, degenerate = _flag_mean_refined(blocks)
             assert degenerate
-            if len(blocks) == 2:  # a pair first tries its min(r1, r2) cross Gram
-                assert sizes.pop(0) == min(b.shape[1] for b in blocks)
             # one eigh of the m x m Gram, then the refinement's shared x shared ones
             assert sizes[0] == m
             assert all(k == shared for k in sizes[1:])
@@ -452,8 +451,9 @@ def pair_eigenvalue_gap(r1, r2, sig):
 
 
 class TestPairFlagMean:
-    """Two blocks take their flag mean from the min(r1, r2) cross Gram
-    B1^T B2, and the full Gram of the stack only on a tie."""
+    """The flag mean of two blocks is the planted bisector of their first
+    principal pair, and an untied pair stage of identify takes it from one
+    SVD of the cross Gram B1^T B2, with no flag mean."""
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), r1=st.integers(1, 6), r2=st.integers(1, 6),
@@ -487,13 +487,22 @@ class TestPairFlagMean:
 
     @pytest.mark.parametrize("r1, r2", [(1, 1), (1, 4), (4, 1), (3, 5), (6, 2), (8, 8)])
     def test_untied_pair_runs_one_small_eigh(self, r1, r2):
+        # the pair stage's SVD of B1^T B2 is the only decomposition: no eigh runs
         rng = np.random.default_rng(17)
         blocks = [orthonormalize(rng.standard_normal((40, r))).columns for r in (r1, r2)]
-        with full_eigh_sizes() as sizes:
-            w, degenerate = _flag_mean_refined(blocks)
-        assert not degenerate
-        assert sizes == [min(r1, r2)]
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_pair_stage", "_flag_mean_refined"):
+                real = getattr(core, name)
+                mp.setattr(core, name, lambda *a, name=name, real=real:
+                           calls.append(name) or real(*a))
+            with full_eigh_sizes() as sizes:
+                result = identify(signals_of_bases([OrthonormalBasis(b) for b in blocks]),
+                                  default_ordering(2), 1.5)
+        assert calls == ["_pair_stage"] and sizes == []
+        assert not any(rec.degenerate for rec in result.diagnostics)
         oracle, _ = two_eigh_flag_mean(blocks)
+        w = result.scores[IndexSet((1, 2))].columns[:, 0]
         assert np.max(np.abs(w - oracle)) <= 1e-12
 
 
@@ -517,7 +526,8 @@ def near_tie(rng, blocks, delta):
 
 class TestTieCut:
     """The top two singular values of the stack just inside TIE_RTOL of each
-    other tie, and just outside they do not, on both routes."""
+    other tie, and just outside they do not, for the flag mean and for a
+    pair stage of identify."""
 
     @pytest.mark.parametrize("blocks", [(2, 2), (1, 2), (1, 1, 1)])
     @pytest.mark.parametrize("delta, tied", [(0.5, True), (1.5, False)])
@@ -529,8 +539,9 @@ class TestTieCut:
         with full_eigh_sizes() as sizes:
             degenerate = _flag_mean_refined(inputs)[1]
         assert degenerate == tied
-        # a pair's cross Gram settles it unless tied; three blocks need the full Gram
-        assert (sum(blocks) in sizes) == (tied or len(blocks) == 3)
+        assert sizes[0] == sum(blocks)  # one eigh of the full Gram settles it
+        if len(blocks) == 2:  # a tied pair stage falls back to the flag mean
+            assert (_pair_stage(*inputs, 1.5) is None) == tied
 
 
 # CHEB_GAP_RTOL's and CHEB_NULL_RTOL's values, written out: the inputs below
@@ -612,27 +623,50 @@ class TestReprojectCut:
         np.testing.assert_allclose(np.abs(kept[:, 0]), eye[:, 1], rtol=0.0, atol=1e-12)
 
 
+# COMPLEMENT_TOL's value, written out: the inputs below must not move with it.
+COMPLEMENT_CUT = 1e-8
+
+
+class TestComplementCut:
+    """_complement drops a direction whose singular value off the claimed
+    span is at most COMPLEMENT_CUT, and keeps one above it."""
+
+    def test_one_direction_kept_one_dropped(self):
+        # lines at sines 0.5 and 2 cuts to the claimed plane span(e_1, e_2)
+        eye = np.eye(4)
+        s = np.array([0.5, 2.0]) * COMPLEMENT_CUT
+        cols = eye[:, :2] * np.sqrt(1.0 - s * s) + eye[:, 2:] * s
+        kept = _complement(cols, eye[:, :2])
+        assert kept.shape == (4, 1)
+        np.testing.assert_allclose(np.abs(kept[:, 0]), eye[:, 3], rtol=0.0, atol=1e-12)
+
+
 class TestPairStageKernel:
-    """_pair_stage's bisectors and angles are the flag means and gate angles
-    that the per-direction loop of identify takes on an untied pair."""
+    """_pair_stage's bisectors and angles are the flag means and angles of
+    the public kernels, taken in turn and each deflated from both bases."""
 
     @pytest.mark.parametrize("ranks", [(3, 5), (5, 3), (4, 4), (1, 6)])
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_the_per_direction_stage(self, ranks, seed):
         rng = np.random.default_rng(seed)
         bases = [orthonormalize(rng.standard_normal((30, r))) for r in ranks]
-        result = identify(signals_of_bases(bases), default_ordering(2), 1.5)
         stage = _pair_stage(bases[0].columns, bases[1].columns, 1.5)
         assert stage is not None
         W, angles, B1, B2, stop = stage
         m = min(ranks)
         assert W.shape == (30, m) and stop is None
-        np.testing.assert_allclose(W, result.scores[IndexSet((1, 2))].columns,
-                                   rtol=0.0, atol=1e-10)
-        np.testing.assert_allclose([rec.angles for rec in result.diagnostics],
-                                   [(a, a) for a in angles], rtol=0.0, atol=1e-12)
-        # the bases left are orthonormal, orthogonal to W, and inside the inputs
-        for B, left in zip(bases, (B1, B2)):
+        flag_means, replayed, current = [], [], bases
+        for _ in range(m):
+            w = flag_mean_direction(current)
+            flag_means.append(w.vector)
+            replayed.append([principal_angle(w, B) for B in current])
+            current = [deflate(B, w) for B in current]
+        np.testing.assert_allclose(W, np.column_stack(flag_means), rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(replayed, [(a, a) for a in angles], rtol=0.0, atol=1e-12)
+        # the bases left span what the deflations leave; they are orthonormal,
+        # orthogonal to W, and inside the inputs
+        for B, left, peeled in zip(bases, (B1, B2), current):
+            np.testing.assert_allclose(left @ left.T, peeled.projector(), rtol=0.0, atol=1e-10)
             assert left.shape == (30, B.r - m)
             np.testing.assert_allclose(left.T @ left, np.eye(B.r - m), atol=1e-14)
             assert np.all(np.abs(W.T @ left) <= 1e-14)
@@ -671,15 +705,16 @@ class TestGateSharesCoefficients:
 
     @SETTINGS
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 200),
-           ranks=st.tuples(st.integers(2, 8), st.integers(2, 8)))
+           ranks=st.tuples(st.integers(2, 8), st.integers(2, 8), st.integers(2, 8)))
     def test_gate_angles_equal_public_geometry(self, seed, n, ranks):
         rng = np.random.default_rng(seed)
         bases = [orthonormalize(rng.standard_normal((n, r))) for r in ranks]
-        result = identify(signals_of_bases(bases), default_ordering(2), 1.5)
-        records = result.diagnostics
+        result = identify(signals_of_bases(bases), default_ordering(3), 1.5)
+        records = [rec for rec in result.diagnostics if len(rec.index_set) == 3]
         assume(records)
-        # Replay the joint stage with the public kernels: flag mean, angles,
-        # deflation of both bases.
+        # Replay the three-block stage, which runs one flag mean per
+        # candidate, with the public kernels: flag mean, angles, deflation of
+        # every basis.
         current = bases
         for rec in records:
             w = flag_mean_direction(current)

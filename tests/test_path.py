@@ -249,7 +249,7 @@ def count_flag_means(monkeypatch):
 
 
 class TestPairStage:
-    """A per-stage path takes each two-block stage from one SVD of the pair's
+    """Both schedules take each two-block stage from one SVD of the pair's
     cross Gram, unless a candidate its gates read is tied."""
 
     @pytest.mark.parametrize("model_id", range(1, 7))
@@ -270,8 +270,8 @@ class TestPairStage:
         ordering, grid = default_ordering(2), default_grid()
         calls = count_flag_means(monkeypatch)
         got = assert_per_stage_path_matches(signals, ordering, grid)
-        # identify_path ran after the per-stage path: one flag mean per candidate
-        assert calls == [2, 2, 2]
+        # neither the per-stage path nor identify_path takes a flag mean
+        assert calls == []
         assert dict(got[-1][2].structure.entries)[IndexSet((1, 2))] == 3
 
     def test_identical_blocks_take_the_tie_route(self, monkeypatch):
@@ -346,7 +346,8 @@ def test_accepted_candidate_with_nothing_to_peel_ends_the_stage():
     assert angle < lam
     c = (B1.T @ w, B2.T @ w)
     assert max(np.linalg.norm(ci) for ci in c) <= PEEL_TOL
-    cp = core._Checkpoint(0, (B1, B2), (), (), (), (w, False, (angle, angle), c))
+    cp = core._Checkpoint(0, (B1, B2), (), (), (), gate=(w, False, (angle, angle), c),
+                          stop=angle)
     signals = signals_of_bases([OrthonormalBasis(B1), OrthonormalBasis(B2)])
     scores, records, rejected = core._resume(signals, default_ordering(2), lam, cp)
     # the stage ends as a failed gate would, but keeps no checkpoint

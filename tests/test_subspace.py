@@ -217,6 +217,10 @@ class TestFlagMean:
         assert max(abs(w[0]), abs(w[1])) == pytest.approx(1.0, abs=1e-9)
 
 
+# PEEL_TOL's value, written out: the inputs below must not move with it.
+PEEL_CUT = 1e-12
+
+
 class TestDeflate:
     def test_plane_deflated_to_remaining_axis(self):
         w = unit([np.cos(np.pi / 12), 0.0, np.sin(np.pi / 12)])
@@ -268,6 +272,22 @@ class TestDeflate:
         B = OrthonormalBasis(np.eye(4)[:, :2])
         with pytest.raises(NothingToPeel):
             deflate(B, unit([0.0, 0.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("delta, peels", [(0.5, False), (2.0, True)])
+    def test_nothing_to_peel_at_the_cut(self, delta, peels):
+        # ||B^T w|| = delta * PEEL_CUT: at or below the cut there is nothing to peel
+        t = delta * PEEL_CUT
+        w = unit([t, 0.0, math.sqrt(1.0 - t * t), 0.0])
+        B = OrthonormalBasis(np.eye(4)[:, :2])
+        assert np.linalg.norm(B.columns.T @ w.vector) == t
+        if not peels:
+            with pytest.raises(NothingToPeel):
+                deflate(B, w)
+            return
+        out = deflate(B, w)
+        assert out.r == 1
+        np.testing.assert_allclose(np.abs(out.columns[:, 0]), np.eye(4)[:, 1],
+                                   rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("call, error, message", (

@@ -15,10 +15,8 @@ import numpy as np
 
 from .core import (
     MultiBlockDataset,
-    _path,
     extract_signal,
     identify,
-    identify_path,
     is_row_centered,
 )
 from .loading import estimate_loadings
@@ -37,7 +35,7 @@ from .structure import (
     ordering_from_lists,
     structure_to_dict,
 )
-from .tuning import _curve_rows, default_grid, mode_structure, select_lambda
+from .tuning import _curve_rows, _stacked_path, default_grid, mode_structure, select_lambda
 
 
 # A tuned fit sweeps every grid point: psi decompose --tune on three 40 x 60
@@ -326,7 +324,7 @@ def cmd_decompose(args) -> int:
     data, ranks, signals = _load_signals(args)
     if args.lam is None:
         tuned = select_lambda(data, ranks, args.ordering, args.grid, args.seed,
-                              whole_path=identify_path(signals, args.ordering, args.grid))
+                              whole_signals=signals)
         result = tuned.decomposition_hat
     else:
         result = identify(signals, args.ordering, args.lam)
@@ -348,14 +346,13 @@ def cmd_decompose(args) -> int:
 def cmd_tune(args) -> int:
     data, ranks, signals = _load_signals(args)
     # The whole-data path does not depend on the split, so every repetition
-    # shares it. tune writes no score columns, only structures, so the path
-    # takes the per-stage schedule of select_lambda's training fits.
-    whole_path = _path(signals, args.ordering, args.grid, per_stage=True)
+    # shares it. tune writes only structures, so it never reads decomposition_hat.
+    whole_path = _stacked_path(signals, args.ordering, args.grid)
     # the shared arguments reach each worker once; a job sends only its seed
     tune = functools.partial(select_lambda, data, ranks, args.ordering, args.grid,
-                             whole_path=whole_path)
+                             whole_path=whole_path, whole_signals=signals)
     results = _pool_map(tune, [args.seed + rep for rep in range(args.reps)], args.threads)
-    mode, count = mode_structure([t.decomposition_hat.structure for t in results])
+    mode, count = mode_structure([t.structure_hat for t in results])
 
     os.makedirs(args.out, exist_ok=True)
     _write_json(args.out, "tune.json", {

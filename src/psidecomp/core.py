@@ -22,6 +22,7 @@ from .subspace import (
     _fix_sign,
     _flag_mean_refined,
     _pair_stage,
+    _pair_svd,
     _sine,
     _top_right_vectors,
     orthonormalize,
@@ -176,8 +177,9 @@ class _Checkpoint:
     at the gate. ``stop`` is the largest angle of the candidate rejected
     there, -inf at the start of a run. ``gate`` is that candidate as (w,
     degenerate, angles, c), with c the participants' coefficients B_i^T w, so a
-    resume decides it again without recomputing its flag mean. It is None at
-    the start of a run and of a pair stage, whose resume takes its SVD again.
+    resume decides it again without recomputing its flag mean. A pair stage's
+    gate is kept at the stage start with ``gate`` None and the stage's SVD in
+    ``svd`` (``_pair_svd``), so a resume reads its candidates from there.
     """
 
     stage: int
@@ -187,6 +189,7 @@ class _Checkpoint:
     records: tuple
     gate: tuple | None = None
     stop: float = -math.inf
+    svd: tuple | None = None
 
 
 def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Checkpoint,
@@ -199,12 +202,14 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
     ``angle_threshold``.
 
     An untied two-block stage takes all its candidates from one SVD
-    (``_pair_stage``) and keeps a rejected gate's checkpoint at the stage
-    start. ``per_stage`` keeps the bases that SVD leaves and projects the
-    other blocks off a stage's claimed directions at once; without it, each
-    direction is peeled and projected off in turn. The spans agree up to
-    rounding, but a singleton stage's columns do not (ROADMAP item 3), so
-    only fits whose columns no one reads set it.
+    (``_pair_svd``, then ``_pair_stage``) and keeps a rejected gate's
+    checkpoint, with that SVD, at the stage start: a resume there takes no
+    SVD again, and a tie it finds runs the flag-mean loop from the stage
+    start's bases. ``per_stage`` keeps the bases the SVD leaves and projects
+    the other blocks off a stage's claimed directions at once; without it,
+    each direction is peeled from the stage start's bases and projected off
+    in turn. The spans agree up to rounding, but a singleton stage's columns
+    do not (ROADMAP item 3), so only fits whose columns no one reads set it.
     """
     K = ordering.K
     n = signals[0].score_basis.n
@@ -218,16 +223,17 @@ def _resume(signals, ordering: IndexOrdering, angle_threshold: float, cp: _Check
         subset = ordering.sets[stage]
         idx = [m - 1 for m in subset.members]
         claimed = list(cp.claimed) if stage == cp.stage else []
+        svd = cp.svd if stage == cp.stage else None
         if len(idx) == 1:
             # The block's leftover basis is claimed as it stands.
             mat, work[idx[0]] = work[idx[0]], np.zeros((n, 0))
             claimed = mat.T
-        elif len(idx) == 2 and gate is None and (
-                pair := _pair_stage(work[idx[0]], work[idx[1]], angle_threshold)):
+        elif len(idx) == 2 and gate is None and (pair := _pair_stage(
+                svd := svd or _pair_svd(work[idx[0]], work[idx[1]]), angle_threshold)):
             mat, angles, *left, stop = pair
             if stop is not None:
                 rejected.append(_Checkpoint(stage, tuple(work), (), tuple(finished),
-                                            tuple(records), stop=stop))
+                                            tuple(records), stop=stop, svd=svd))
             claimed = mat.T
             if per_stage:
                 work[idx[0]], work[idx[1]] = left

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MultiBlockDataset, extract_signal, identify, identify_path
+from .core import MultiBlockDataset, extract_signal, identify
 from .loading import LoadingSet, estimate_loadings
 from .structure import (
     IndexOrdering,
@@ -291,8 +291,7 @@ def run_once(model: SimulationModel, seed: int, angle_threshold: float | None = 
         result = identify(signals, model.ordering, angle_threshold)
     else:
         grid = default_grid() if grid is None else grid
-        tuned = select_lambda(data, ranks, model.ordering, grid, seed,
-                              whole_path=identify_path(signals, model.ordering, grid))
+        tuned = select_lambda(data, ranks, model.ordering, grid, seed, whole_signals=signals)
         result = tuned.decomposition_hat
     loads = estimate_loadings(signals, result)
     wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -338,21 +338,30 @@ def _pair_tied(sig: np.ndarray, r1: int, r2: int) -> bool:
     return not math.sqrt(max(nxt, 0.0)) < math.sqrt(1.0 + sig[0]) * (1.0 - TIE_RTOL)
 
 
-def _pair_stage(B1: np.ndarray, B2: np.ndarray, angle_threshold: float):
-    """A two-block stage of identify from one SVD of B1^T B2: (W, angles, B1',
-    B2', stop), or None when a candidate that its gates read is tied.
+def _pair_svd(B1: np.ndarray, B2: np.ndarray):
+    """The one SVD of a two-block stage, B1^T B2 = X diag(sig) Y^T with the
+    smaller rank first: (U, V, sig, angles, swap) for the principal pairs U =
+    B1 X, V = B2 Y, the angles of their bisectors to both bases, and whether
+    B1 and B2 were exchanged. A rejected gate keeps it for the resume."""
+    if swap := B1.shape[1] > B2.shape[1]:
+        B1, B2 = B2, B1
+    X, sig, Yt = np.linalg.svd(B1.T @ B2)
+    U, V = B1 @ X, B2 @ Yt.T
+    angles = np.arcsin(np.minimum(np.linalg.norm(U - V[:, :B1.shape[1]], axis=0) / 2.0, 1.0))
+    return U, V, sig, angles, swap
+
+
+def _pair_stage(svd: tuple, angle_threshold: float):
+    """A two-block stage of identify from its SVD (``_pair_svd``): (W, angles,
+    B1', B2', stop), or None when a candidate that its gates read is tied.
 
     Untied, the stage's flag means in turn bisect the principal pairs u_j =
     B1 x_j, v_j = B2 y_j (Bjorck & Golub 1973), at arcsin(||u_j - v_j|| / 2)
     to both bases. W holds those below ``angle_threshold``, sign-fixed, B1'
     and B2' the bases left once they are peeled, stop the first rejected angle.
     """
-    if swap := B1.shape[1] > B2.shape[1]:  # the smaller rank first
-        B1, B2 = B2, B1
-    X, sig, Yt = np.linalg.svd(B1.T @ B2)
-    U, V = B1 @ X, B2 @ Yt.T
-    r1, r2 = B1.shape[1], B2.shape[1]
-    angles = np.arcsin(np.minimum(np.linalg.norm(U - V[:, :r1], axis=0) / 2.0, 1.0))
+    U, V, sig, angles, swap = svd
+    r1, r2 = U.shape[1], V.shape[1]
     below = angles < angle_threshold
     a = r1 if below.all() else int(below.argmin())
     if any(_pair_tied(sig[j:], r1 - j, r2 - j) for j in range(min(a + 1, r1))):

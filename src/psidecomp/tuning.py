@@ -8,14 +8,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-# identify is still bound here: the benchmark's tracer and its tests look it
-# up in every module that imports it by name.
-from .core import (  # noqa: F401
-    DecompositionResult, MultiBlockDataset, _path, extract_signal, identify, identify_path)
+from .core import DecompositionResult, MultiBlockDataset, _path, extract_signal, identify
 from .structure import IndexOrdering, PartialJointStructure, dissimilarity
 from .subspace import OrthonormalBasis
 
@@ -115,13 +113,21 @@ def _heldout_pieces(test_blocks, train_signals: Sequence) -> tuple:
     return np.hstack(V), np.linalg.qr(np.hstack(A), mode="r"), S_diag, rows, np.array(denoms)
 
 
-def _stacked_coordinates(train_signals: Sequence, pieces: tuple) -> tuple:
-    """Training signals and pieces in the coordinates of the thin QR [V_1 ...
-    V_K] = Q0 T: block k's basis is T_k = Q0^T V_k, with R0 = sum_k r_k rows
-    (n_train if fewer), and V^T W = T^T W' for scores W = Q0 W' on the T_k."""
-    T = np.linalg.qr(pieces[0], mode="r")
-    return ([replace(sig, score_basis=OrthonormalBasis(T[:, pieces[3] == k]))
-             for k, sig in enumerate(train_signals)], (T, *pieces[1:]))
+def _stacked_coordinates(signals: Sequence) -> tuple:
+    """(signals, T): the signals in the coordinates of the thin QR [V_1 ...
+    V_K] = Q0 T of their bases, where block k's basis is T_k = Q0^T V_k with
+    R0 = sum_k r_k rows (n if fewer), and V^T W = T^T W' for scores W = Q0 W'
+    on the T_k. Q0 keeps every angle, so a path there gates as in sample space."""
+    rows = np.repeat(np.arange(len(signals)), [sig.rank for sig in signals])
+    T = np.linalg.qr(np.hstack([sig.score_basis.columns for sig in signals]), mode="r")
+    return [replace(sig, score_basis=OrthonormalBasis(T[:, rows == k]))
+            for k, sig in enumerate(signals)], T
+
+
+def _stacked_path(signals: Sequence, ordering: IndexOrdering, grid) -> list:
+    """The per-stage path of ``signals`` in their stacked coordinates: the
+    intervals and structures of ``identify_path``, with no columns to read."""
+    return _path(_stacked_coordinates(signals)[0], ordering, grid, per_stage=True)
 
 
 def _heldout_risk(pieces: tuple, result) -> float:
@@ -154,10 +160,16 @@ def _heldout_risk(pieces: tuple, result) -> float:
 
 @dataclass(frozen=True, eq=False)
 class TuningResult:
+    """``select_lambda``'s curves and choices. ``decomposition_hat`` runs
+    ``identify`` at ``lambda_hat`` on the whole-data signals when first read."""
+
     structure_train: PartialJointStructure  # training structure at lambda_tilde
     risk_curve: tuple                       # ((lambda, risk), ...)
     dissimilarity_curve: tuple              # ((lambda, d), ...)
-    decomposition_hat: DecompositionResult  # whole-data result at lambda_hat
+    lambda_hat: float                       # whole-data structure match (radians)
+    structure_hat: PartialJointStructure    # whole-data structure at lambda_hat
+    whole_signals: tuple                    # whole-data signal estimates
+    ordering: IndexOrdering
 
     @property
     def lambda_tilde(self) -> float:
@@ -165,15 +177,15 @@ class TuningResult:
         lams, risks = zip(*self.risk_curve)
         return lams[int(np.argmin(risks))]
 
-    @property
-    def lambda_hat(self) -> float:
-        """Whole-data structure match (radians)."""
-        return self.decomposition_hat.angle_threshold
+    @cached_property
+    def decomposition_hat(self) -> DecompositionResult:
+        """The whole-data result at lambda_hat."""
+        return identify(self.whole_signals, self.ordering, self.lambda_hat)
 
 
 def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
                   ordering: IndexOrdering, grid: Sequence[float], seed: int,
-                  whole_path=None) -> TuningResult:
+                  whole_path=None, whole_signals=None) -> TuningResult:
     """Two-stage threshold selection on one random data split.
 
     Stage one minimizes the held-out reconstruction risk over the grid; stage
@@ -191,20 +203,19 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
     - 2 <A_k C_k, W_test> + <C_k, L_k^T L_k C_k>. A_k and L_k^T L_k are
     formed once per split: no interval of the path builds a p-sized matrix.
 
-    The training fit runs on ``_resume``'s per-stage schedule, one SVD per
-    pair stage and one projection per stage and block, and in the R0 =
-    sum_k r_k coordinates of its stacked bases (``_stacked_coordinates``),
-    not in the n_train-dimensional sample space. Only its structures and
-    risks are read. The whole-data path computed here keeps the per-direction
-    schedule, because the singleton columns of ``decomposition_hat`` depend
-    on it (ROADMAP item 3).
+    Both paths run on ``_resume``'s per-stage schedule, one SVD per pair
+    stage and one projection per stage and block, and in the R0 = sum_k r_k
+    coordinates of their stacked bases (``_stacked_coordinates``), not in
+    sample space. Only their structures, and the training risks, are read.
+    The columns of ``decomposition_hat`` come from one per-direction
+    ``identify`` at lambda_hat, run when it is first read (ROADMAP item 3).
 
-    ``whole_path`` is ``identify_path`` over ``grid`` on the whole data's
-    signals at ``ranks``. It depends on neither the split nor the seed, so a
-    caller that tunes one dataset several times computes it once and passes
-    it in; when it is None it is computed here. A caller that reads only
-    the structures and thresholds, as ``psi tune`` does, may pass the
-    per-stage path instead. A path over another grid raises ValueError.
+    ``whole_signals`` are the whole data's signals at ``ranks``, computed
+    here when None. ``whole_path`` is their path over ``grid``, of either
+    schedule (``_stacked_path`` or ``identify_path``). It depends on neither
+    the split nor the seed, so a caller that tunes one dataset several times
+    computes it once and passes it in; when it is None it is computed here.
+    A path over another grid raises ValueError.
     """
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
@@ -225,8 +236,8 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
     # once used: the training signal keeps only its p x r factor.
     train_signals = [extract_signal(X[:, tr], r, check_centering=False)
                      for X, r in zip(data.blocks, ranks)]
-    coords, pieces = _stacked_coordinates(
-        train_signals, _heldout_pieces((X[:, te] for X in data.blocks), train_signals))
+    coords, T = _stacked_coordinates(train_signals)
+    pieces = (T, *_heldout_pieces((X[:, te] for X in data.blocks), train_signals)[1:])
 
     # identify is piecewise constant in the threshold, so the held-out risk is
     # computed once per interval of the path.
@@ -242,16 +253,17 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
         train_structures += [res.structure] * (i1 - i0)
     structure_train = train_structures[int(np.argmin(risks))]
 
-    if whole_path is None:
+    if whole_signals is None:
         whole_signals = [extract_signal(X, r, check_centering=False)
                          for X, r in zip(data.blocks, ranks)]
-        whole_path = identify_path(whole_signals, ordering, grid)
-    dists, whole_results = [], []
+    if whole_path is None:
+        whole_path = _stacked_path(whole_signals, ordering, grid)
+    dists, whole_structures = [], []
     for i0, i1, res in whole_path:
         if i0 != len(dists) or not i0 < i1 <= grid.size or res.angle_threshold != grid[i0]:
             raise ValueError("whole_path must be identify_path over this grid")
         dists += [dissimilarity(structure_train, res.structure)] * (i1 - i0)
-        whole_results += [res] * (i1 - i0)
+        whole_structures += [res.structure] * (i1 - i0)
     if len(dists) != grid.size:
         raise ValueError("whole_path must be identify_path over this grid")
     i_hat = int(np.argmin(dists))
@@ -260,7 +272,8 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
         structure_train=structure_train,
         risk_curve=tuple((float(lam), risk) for lam, risk in zip(grid, risks)),
         dissimilarity_curve=tuple((float(lam), d) for lam, d in zip(grid, dists)),
-        decomposition_hat=replace(whole_results[i_hat], angle_threshold=float(grid[i_hat])),
+        lambda_hat=float(grid[i_hat]), structure_hat=whole_structures[i_hat],
+        whole_signals=tuple(whole_signals), ordering=ordering,
     )
 
 

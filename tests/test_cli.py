@@ -185,6 +185,26 @@ class TestDecompose:
                 == {tuple(e["blocks"]): e["rank"]
                     for e in truth["structure"]["entries"]})
 
+    @pytest.mark.parametrize("cuts, warned", [(0.5, False), (2.0, True)])
+    def test_centering_warning_at_its_cut(self, tmp_path, capsys, cuts, warned):
+        # CENTERING_RTOL is 1e-8: block 1's first row has mean cuts * 1e-8 * sd,
+        # every other row is centered to rounding
+        rng = np.random.default_rng(5)
+        blocks = []
+        for k in (1, 2, 3):
+            X = rng.standard_normal((10, 30))
+            X -= X.mean(axis=1, keepdims=True)
+            if k == 1:
+                X[0] += cuts * 1e-8 * math.sqrt(np.mean(X[0] * X[0]))
+            blocks.append(tmp_path / f"X_{k}.csv")
+            np.savetxt(blocks[-1], X, delimiter=",")
+        code = run_cli("decompose", "--blocks", *map(str, blocks), "--ranks", "2,2,2",
+                       "--lambda-deg", "20", "--out", str(tmp_path / "o"))
+        assert code == 0
+        err = capsys.readouterr().err
+        assert ("not centered" in err) == warned
+        assert ("block 1 rows are not centered" in err) == warned
+
     def test_threads_default_is_the_usable_cores(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3})
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -322,8 +342,9 @@ class TestTune:
     @pytest.mark.parametrize("model,seed,n,p", (("4", 11, 40, 30), ("6", 5, 60, 40)))
     def test_per_stage_whole_path_writes_what_identify_path_gives(
             self, tmp_path, model, seed, n, p, threads):
-        # tune's whole-data path takes the per-stage schedule; its files must
-        # be those of select_lambda given the per-direction identify_path
+        # tune's whole-data path takes the per-stage schedule in stacked
+        # coordinates; its files must be those of select_lambda given the
+        # per-direction identify_path
         gen = tmp_path / "gen"
         assert run_cli("generate", "--model", model, "--snr", "15", "--seed", str(seed),
                        "--n", str(n), "--p", str(p), "--out", str(gen)) == 0

@@ -45,6 +45,7 @@ from psidecomp.subspace import (
     _fix_sign,
     _flag_mean_refined,
     _pair_stage,
+    _pair_svd,
     _sine,
     _top_eigvecs,
     orthonormalize,
@@ -79,6 +80,21 @@ def full_eigh_sizes():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "eigh", counted)
         yield sizes
+
+
+@contextmanager
+def svd_shapes():
+    """Record the shape of every np.linalg.svd input inside the block."""
+    shapes = []
+    real = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", counted)
+        yield shapes
 
 
 def assert_orthonormal(V, atol=1e-10):
@@ -487,19 +503,18 @@ class TestPairFlagMean:
 
     @pytest.mark.parametrize("r1, r2", [(1, 1), (1, 4), (4, 1), (3, 5), (6, 2), (8, 8)])
     def test_untied_pair_runs_one_small_eigh(self, r1, r2):
-        # the pair stage's SVD of B1^T B2 is the only decomposition: no eigh runs
+        # the pair stage's SVD of B1^T B2, smaller rank first, is the only
+        # decomposition: no eigh and no flag mean runs
         rng = np.random.default_rng(17)
         blocks = [orthonormalize(rng.standard_normal((40, r))).columns for r in (r1, r2)]
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("_pair_stage", "_flag_mean_refined"):
-                real = getattr(core, name)
-                mp.setattr(core, name, lambda *a, name=name, real=real:
-                           calls.append(name) or real(*a))
-            with full_eigh_sizes() as sizes:
+            real = core._flag_mean_refined
+            mp.setattr(core, "_flag_mean_refined", lambda *a: calls.append(a) or real(*a))
+            with full_eigh_sizes() as sizes, svd_shapes() as shapes:
                 result = identify(signals_of_bases([OrthonormalBasis(b) for b in blocks]),
                                   default_ordering(2), 1.5)
-        assert calls == ["_pair_stage"] and sizes == []
+        assert shapes == [(min(r1, r2), max(r1, r2))] and calls == [] and sizes == []
         assert not any(rec.degenerate for rec in result.diagnostics)
         oracle, _ = two_eigh_flag_mean(blocks)
         w = result.scores[IndexSet((1, 2))].columns[:, 0]
@@ -541,7 +556,7 @@ class TestTieCut:
         assert degenerate == tied
         assert sizes[0] == sum(blocks)  # one eigh of the full Gram settles it
         if len(blocks) == 2:  # a tied pair stage falls back to the flag mean
-            assert (_pair_stage(*inputs, 1.5) is None) == tied
+            assert (_pair_stage(_pair_svd(*inputs), 1.5) is None) == tied
 
 
 # CHEB_GAP_RTOL's and CHEB_NULL_RTOL's values, written out: the inputs below
@@ -650,7 +665,7 @@ class TestPairStageKernel:
     def test_matches_the_per_direction_stage(self, ranks, seed):
         rng = np.random.default_rng(seed)
         bases = [orthonormalize(rng.standard_normal((30, r))) for r in ranks]
-        stage = _pair_stage(bases[0].columns, bases[1].columns, 1.5)
+        stage = _pair_stage(_pair_svd(bases[0].columns, bases[1].columns), 1.5)
         assert stage is not None
         W, angles, B1, B2, stop = stage
         m = min(ranks)
@@ -675,9 +690,10 @@ class TestPairStageKernel:
     def test_stops_at_the_first_rejected_candidate(self):
         rng = np.random.default_rng(3)
         B1, B2 = (orthonormalize(rng.standard_normal((30, 4))).columns for _ in range(2))
-        _, angles, _, _, _ = _pair_stage(B1, B2, 1.5)
+        svd = _pair_svd(B1, B2)  # one SVD serves both thresholds
+        _, angles, _, _, _ = _pair_stage(svd, 1.5)
         lam = 0.5 * (angles[1] + angles[2])
-        W, accepted, left1, left2, stop = _pair_stage(B1, B2, lam)
+        W, accepted, left1, left2, stop = _pair_stage(svd, lam)
         assert W.shape[1] == 2 and accepted == angles[:2] and left1.shape[1] == 2
         assert accepted[-1] < lam <= stop == angles[2]
 

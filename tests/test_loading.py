@@ -95,6 +95,24 @@ class TestEstimateLoadings:
         with pytest.raises(ValueError, match="block 1 are not orthonormal"):
             estimate_loadings(signals, result)
 
+    @pytest.mark.parametrize("cosine, accepted", [(0.5e-8, True), (2e-8, False)])
+    def test_gram_check_at_its_tolerance(self, cosine, accepted):
+        # _GRAM_ATOL is 1e-8: one-column bases of {1,2} and {1} at this cosine
+        # give W_(1)^T W_(1) - I the off-diagonal entry cosine, and 0 elsewhere
+        e1 = np.eye(5)[:, :1]
+        leaning = np.array([[cosine], [math.sqrt(1.0 - cosine * cosine)], [0.0], [0.0], [0.0]])
+        scores = {IndexSet.of(1, 2): OrthonormalBasis(e1),
+                  IndexSet.of(1): OrthonormalBasis(leaning)}
+        result = DecompositionResult(scores, 0.1, default_ordering(2))
+        W = result.stacked_scores(1)[0]
+        assert np.array_equal(np.abs(W.T @ W - np.eye(2)), [[0.0, cosine], [cosine, 0.0]])
+        signals = signals_of_bases([OrthonormalBasis(np.eye(5)[:, :2]), OrthonormalBasis(e1)])
+        if accepted:
+            assert estimate_loadings(signals, result).blocks[(1, IndexSet.of(1))].shape == (2, 1)
+        else:
+            with pytest.raises(ValueError, match="block 1 are not orthonormal together"):
+                estimate_loadings(signals, result)
+
     def test_signal_count_other_than_K_rejected(self):
         signals = signals_of_bases(independent_bases())
         result = identify(signals, default_ordering(3), 1e-6)

@@ -29,7 +29,7 @@ from psidecomp import (
 )
 from psidecomp import core
 from psidecomp.subspace import PEEL_TOL
-from psidecomp.tuning import _heldout_pieces, _heldout_risk, _stacked_coordinates
+from psidecomp.tuning import _heldout_pieces, _heldout_risk, _stacked_coordinates, _stacked_path
 
 from cases import signals_of_bases, split_halves
 
@@ -175,7 +175,8 @@ def brute_force_select_lambda(data, ranks, ordering, grid, seed, per_stage=True)
                      for B, r in zip(train, ranks)]
     # The held-out risk of one training result is select_lambda's own
     # function; tests/test_tuning.py pins it to the p-space helpers.
-    coords, pieces = _stacked_coordinates(train_signals, _heldout_pieces(test, train_signals))
+    coords, T = _stacked_coordinates(train_signals)
+    pieces = (T, *_heldout_pieces(test, train_signals)[1:])
     risks, train_structures = [], []
     for lam in grid:
         res = core._path(coords, ordering, [lam], per_stage)[0][2]
@@ -209,7 +210,7 @@ class TestSelectLambdaOnPath:
     @pytest.mark.parametrize("model_id,seed", [(1, 1000), (3, 1001), (5, 1002), (6, 1000)])
     def test_training_schedules_agree(self, model_id, seed):
         # The training path projects once per stage; the per-direction
-        # schedule, which the whole-data path keeps, picks the same training
+        # schedule, which identify keeps, picks the same training
         # structures and lambda_tilde, and its risks differ by rounding only.
         model = model_preset(model_id, snr=15.0, n=120, block_size=80)
         data = generate(model, seed).dataset()
@@ -262,6 +263,20 @@ class TestPairStage:
             assert_per_stage_path_matches(whole_signals(model, seed), model.ordering,
                                           default_grid())
 
+    @pytest.mark.parametrize("model_id", range(1, 7))
+    def test_stacked_whole_data_paths(self, model_id):
+        # Tuning's whole-data paths run per-stage in the coordinates of the
+        # stacked bases; their intervals and structures are identify_path's.
+        grid = default_grid()
+        for snr in (15.0, 5.0, 3.0, math.inf):
+            model = model_preset(model_id, snr=snr)
+            for seed in range(1000, 1016):
+                signals = whole_signals(model, seed)
+                got = _stacked_path(signals, model.ordering, grid)
+                want = identify_path(signals, model.ordering, grid)
+                assert ([(i0, i1, res.structure.entries) for i0, i1, res in got]
+                        == [(i0, i1, res.structure.entries) for i0, i1, res in want]), (snr, seed)
+
     def test_untied_pair_stage_takes_no_flag_mean(self, monkeypatch):
         # bisector angles are at most 45 degrees, so the grid accepts all three
         rng = np.random.default_rng(11)
@@ -295,7 +310,7 @@ class TestPairStage:
         train, test = split_halves(data, 1000)
         signals = [extract_signal(B, r, check_centering=False) for B, r in zip(train, ranks)]
         pieces = _heldout_pieces(test, signals)
-        assert _stacked_coordinates(signals, pieces)[1][0].shape == (10, 24)
+        assert _stacked_coordinates(signals)[1].shape == (10, 24)
         risks, structures = [], []
         for i0, i1, res in core._path(signals, model.ordering, grid, per_stage=True):
             risks += [_heldout_risk(pieces, res)] * (i1 - i0)

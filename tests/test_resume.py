@@ -4,14 +4,17 @@
 the first saved gate that the larger threshold flips. These tests check that
 a whole-data path handed to ``select_lambda`` gives the same tuning as the
 path it builds itself, that the resumed path computes fewer flag means than
-one fresh ``identify`` per interval, and that the path keeps every input
-check of ``identify``.
+one fresh ``identify`` per interval, that a pair stage's SVD is taken once
+per visit from its stage start and never on a resume, that a tuned fit
+sweeps no per-direction path, and that the path keeps every input check of
+``identify``.
 """
 
 import numpy as np
 import pytest
 
 from psidecomp import (
+    cli,
     core,
     default_grid,
     extract_signal,
@@ -19,7 +22,10 @@ from psidecomp import (
     identify,
     identify_path,
     model_preset,
+    run_once,
     select_lambda,
+    simgen,
+    tuning,
 )
 
 SEEDS = (1000, 1001, 1002)
@@ -97,6 +103,77 @@ def test_resume_computes_fewer_flag_means(monkeypatch):
         restarted = calls[0]
         assert len(path) > 1
         assert resumed < restarted, (seed, resumed, restarted)
+
+
+@pytest.mark.parametrize("per_stage", [True, False])
+def test_pair_stage_takes_one_svd_per_visit_from_its_start(monkeypatch, per_stage):
+    # A run that enters a two-block stage at its start takes the stage's SVD
+    # once; a run resumed at a rejected pair gate reads the SVD the gate kept.
+    model = model_preset(6, snr=15.0)
+    svds, resumes = [0], []
+    pair_svd, resume = core._pair_svd, core._resume
+
+    def counted_svd(B1, B2):
+        svds[0] += 1
+        return pair_svd(B1, B2)
+
+    def counted_resume(signals, ordering, lam, cp, per_stage=False):
+        before = svds[0]
+        out = resume(signals, ordering, lam, cp, per_stage)
+        pairs = sum(len(s) == 2 for s in ordering.sets[cp.stage:])
+        at_gate = len(ordering.sets[cp.stage]) == 2 and (cp.svd or cp.gate) is not None
+        assert svds[0] - before == pairs - at_gate
+        resumes.append(cp.svd is not None)
+        return out
+
+    monkeypatch.setattr(core, "_pair_svd", counted_svd)
+    monkeypatch.setattr(core, "_resume", counted_resume)
+    for seed in SEEDS:
+        core._path(signals_of(generate(model, seed), model.block_ranks()), model.ordering,
+                   default_grid(), per_stage)
+    assert any(resumes)  # some runs resumed at a pair gate
+
+
+def count_work(monkeypatch):
+    """Record (per_stage, grid size) of every path and count identify calls."""
+    paths, identifies = [], [0]
+    path, identify_ = core._path, core.identify
+
+    def counted_path(signals, ordering, grid, per_stage):
+        paths.append((per_stage, len(grid)))
+        return path(signals, ordering, grid, per_stage)
+
+    def counted_identify(*args):
+        identifies[0] += 1
+        return identify_(*args)
+
+    monkeypatch.setattr(core, "_path", counted_path)
+    monkeypatch.setattr(tuning, "_path", counted_path)
+    for module in (core, tuning, simgen, cli):
+        monkeypatch.setattr(module, "identify", counted_identify)
+    return paths, identifies
+
+
+def test_tuned_run_once_sweeps_no_per_direction_path(monkeypatch):
+    # both sweeps are per-stage; the one per-direction path is identify's, at lambda_hat
+    paths, identifies = count_work(monkeypatch)
+    grid = default_grid()
+    run_once(small_model(6), 1000, grid=grid)
+    assert identifies == [1]
+    assert sorted(paths) == [(False, 1), (True, grid.size), (True, grid.size)]
+
+
+def test_tune_runs_no_identify_and_one_whole_path(monkeypatch, tmp_path):
+    gen = tmp_path / "gen"
+    assert cli.main(["generate", "--model", "6", "--snr", "15", "--seed", "3", "--n", "60",
+                     "--p", "40", "--out", str(gen)]) == 0
+    paths, identifies = count_work(monkeypatch)
+    assert cli.main(["tune", "--blocks", *(str(gen / f"X_{k}.csv") for k in (1, 2, 3)),
+                     "--ranks", "8,8,8", "--reps", "3", "--threads", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+    # three training paths and one shared whole-data path, all per-stage
+    assert identifies == [0]
+    assert paths == [(True, 90)] * 4
 
 
 class TestPathChecks:

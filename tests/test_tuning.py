@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -305,6 +306,20 @@ class TestSelectLambda:
         mode_structure([fresh, fresh, *[t.structure_train for t in results]])
         mode_structure([fresh])
         assert calls == [fresh]
+
+    def test_pickled_result_gives_the_same_decomposition_hat(self):
+        # psi tune --threads 2 returns its results through pickle;
+        # decomposition_hat runs identify on the whole-data signals it carries
+        model = model_preset(6, snr=15.0, n=60, block_size=40)
+        data = generate(model, seed=4).dataset()
+        serial = select_lambda(data, model.block_ranks(), model.ordering, default_grid(), 4)
+        copy = pickle.loads(pickle.dumps(serial))
+        assert "decomposition_hat" not in copy.__dict__
+        a, b = serial.decomposition_hat, copy.decomposition_hat
+        assert a.structure.entries == b.structure.entries == copy.structure_hat.entries
+        assert a.angle_threshold == b.angle_threshold == copy.lambda_hat
+        assert a.stable_interval == b.stable_interval and a.diagnostics == b.diagnostics
+        assert a.stacked_scores()[0].tobytes() == b.stacked_scores()[0].tobytes()
 
     def test_deterministic(self):
         model = model_preset(3, snr=15.0, n=50, block_size=40)

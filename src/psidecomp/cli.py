@@ -35,12 +35,16 @@ from .structure import (
     ordering_from_lists,
     structure_to_dict,
 )
+from .subspace import _scale_shift
 from .tuning import _curve_rows, _stacked_path, default_grid, mode_structure, select_lambda
 
 
 # A tuned fit sweeps every grid point: psi decompose --tune on three 40 x 60
 # model-6 blocks took 0.63 s and 276 MB at 890,001 points (step 0.0001 degrees).
 MAX_GRID_POINTS = 1_000_000
+# A block whose entries are all at most this times their row's raw max after
+# centering is all zeros: centering a constant row leaves rounding residue.
+ZERO_RTOL = 1e-12
 
 
 class ConfigError(ValueError):
@@ -150,6 +154,7 @@ def _ranks_from_proportion(blocks, q: float) -> list[int]:
     ranks = []
     for X in blocks:
         s = np.linalg.svd(X, compute_uv=False)
+        s = np.ldexp(s, _scale_shift(s))  # so that s * s stays in the float range
         power = s * s
         cum = np.cumsum(power)
         # dividing by cum[-1], the total in the same rounding, ends the shares
@@ -282,8 +287,7 @@ def _load_dataset(args) -> MultiBlockDataset:
                 print(f"warning: block {i + 1} rows are not centered "
                       "(use --center to apply row centering)", file=sys.stderr)
     for path, scale, b in zip(args.blocks, scales, data.blocks):
-        # centering a constant row leaves rounding residue, not exact zeros
-        if np.all(_row_absmax(b) <= 1e-12 * scale):
+        if np.all(_row_absmax(b) <= ZERO_RTOL * scale):
             after = " after row centering" if args.center else ""
             raise ConfigError(f"{path} is all zeros{after}")
     return data

@@ -15,6 +15,7 @@ import numpy as np
 
 from .structure import IndexOrdering, IndexSet, PartialJointStructure
 from .subspace import (
+    COMPLEMENT_TOL,
     PEEL_TOL,
     OrthonormalBasis,
     _complement,
@@ -23,6 +24,7 @@ from .subspace import (
     _flag_mean_refined,
     _pair_stage,
     _pair_svd,
+    _scale_shift,
     _sine,
     _top_right_vectors,
     orthonormalize,
@@ -90,7 +92,9 @@ class SignalEstimate:
 
 def is_row_centered(X: np.ndarray) -> bool:
     # |mean| <= rtol * sd, squared, with the row sums of squares taken
-    # without a p x n temporary
+    # without a p x n temporary inside the exponent band
+    if shift := _scale_shift(X):
+        X = np.ldexp(X, shift)
     means = X.mean(axis=1)
     sq_means = means * means
     var = np.einsum("ij,ij->i", X, X) / X.shape[1] - sq_means
@@ -379,20 +383,16 @@ class UniquenessReport:
         return all(self.layer_independence.values())
 
 
-def _pair_intersection(A: np.ndarray, B: np.ndarray, cos_tol: float) -> np.ndarray:
-    U, s, _ = np.linalg.svd(A.T @ B, full_matrices=False)
-    return orthonormalize(A @ U[:, s > 1.0 - cos_tol], 1e-8).columns
-
-
 def _intersection(blocks, members, cos_tol) -> np.ndarray:
     cols = blocks[members[0] - 1]
-    for m in members[1:]:
-        cols = _pair_intersection(cols, blocks[m - 1], cos_tol)
+    for m in members[1:]:  # the principal vectors of cols at cosines above 1 - cos_tol
+        U, _, sig, _ = _pair_svd(cols, blocks[m - 1])
+        cols = orthonormalize(U[:, :np.count_nonzero(sig > 1.0 - cos_tol)], COMPLEMENT_TOL).columns
     return cols
 
 
 def _span_sum(parts, n) -> np.ndarray:
-    return orthonormalize(np.hstack([np.zeros((n, 0)), *parts]), 1e-8).columns
+    return orthonormalize(np.hstack([np.zeros((n, 0)), *parts]), COMPLEMENT_TOL).columns
 
 
 def check_relative_independence(exact_bases, ordering: IndexOrdering,
@@ -425,12 +425,12 @@ def check_relative_independence(exact_bases, ordering: IndexOrdering,
             D = deflated[s]
             others = _span_sum([deflated[t] for t in level_sets if t != s], n)
             if D.shape[1] and others.shape[1]:
-                U, sv, _ = np.linalg.svd(D.T @ others)
-                top = float(sv[0])
+                U, _, sig, _ = _pair_svd(D, others)
+                top = float(sig[0])
                 if top > 1.0 - tol:
                     layer_ok = False
                     if failure is None:
-                        failure = (layer, s, _fix_sign(D @ U[:, 0]))
+                        failure = (layer, s, _fix_sign(U[:, 0]))
                 if top > ORTHO_CHECK_TOL:
                     rel_orth = False
             # per-index complement [J_i]: larger sets whose pattern overlaps s

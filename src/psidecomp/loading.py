@@ -12,6 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DecompositionResult, SignalEstimate
+from .subspace import _off_identity
 
 _GRAM_ATOL = 1e-8  # max |W_(k)^T W_(k) - I| entry that estimate_loadings accepts
 
@@ -57,7 +58,7 @@ def estimate_loadings(signals: Sequence[SignalEstimate],
     blocks = {}
     for k in range(1, K + 1):
         W, labels = result.stacked_scores(k)
-        if np.max(np.abs(W.T @ W - np.eye(W.shape[1])), initial=0.0) > _GRAM_ATOL:
+        if _off_identity(W) > _GRAM_ATOL:
             raise ValueError(
                 f"the score bases of the index-sets containing block {k} are not "
                 f"orthonormal together; estimate_loadings needs W_(k)^T W_(k) = I")

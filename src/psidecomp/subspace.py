@@ -36,7 +36,8 @@ DIVISION_TOL = 1e-14
 TIE_RTOL = 1e-6          # flag-mean singular values this close to the top are tied
 # A direction shared with a claimed one leaves a residue of up to about 1e-10
 # (the Gram-side bases are accurate to that), which must count as zero:
-# renormalized, it is not orthogonal to the claimed directions.
+# renormalized, it is not orthogonal to the claimed directions. The
+# uniqueness checks' spans and intersections drop directions at the same cut.
 COMPLEMENT_TOL = 1e-8
 # A direction kept at singular value s carries the input's residue along
 # directions claimed earlier, amplified by 1/s: a 5.8e-14 residue kept at
@@ -66,6 +67,14 @@ CHEB_SEED = 0  # fixed start block, so the result is deterministic
 # A direction whose coefficients B^T w have norm at or below this has nothing
 # to peel from span(B): deflate raises, and an identify stage ends there.
 PEEL_TOL = 1e-12
+# A tied flag mean narrows its tied directions to those whose squared cosine
+# to each block in turn is within this of the best.
+TIE_REFINE_ATOL = 1e-9
+# A matrix whose largest entry has a binary exponent outside [-SCALE_EXP_BAND,
+# SCALE_EXP_BAND] is scaled by a power of two before its Gram is formed, whose
+# entries would otherwise leave the normal float range. Power-of-two scaling
+# is exact, so a matrix inside the band is used as given.
+SCALE_EXP_BAND = 100
 
 
 class NothingToPeel(ValueError):
@@ -89,19 +98,38 @@ def _right_vectors(X: np.ndarray, s: np.ndarray, U: np.ndarray):
     leading directions and completes the basis past the rank.
     """
     XtU = X.T @ U
-    if s[-1] > 0.0:
-        V = XtU / s
-        deviation = V.T @ V
-        deviation.flat[::s.size + 1] -= 1.0  # V^T V - I, with no identity built
-        if np.abs(deviation).max() <= DIVISION_TOL:
-            return V
+    if s[-1] > 0.0 and _off_identity(V := XtU / s) <= DIVISION_TOL:
+        return V
     return np.linalg.qr(XtU)[0]
+
+
+def _off_identity(B: np.ndarray) -> float:
+    """max |B^T B - I| over the entries, 0 for no columns, with no identity built."""
+    G = B.T @ B
+    G.flat[::G.shape[0] + 1] -= 1.0
+    return float(np.abs(G).max(initial=0.0))
+
+
+def _max_exponent(X: np.ndarray) -> int:
+    """The binary exponent e of max|X| = f 2^e (0.5 <= f < 1), 0 for an
+    all-zero X, read without a temporary of X's size."""
+    return math.frexp(max(float(X.max(initial=0.0)), -float(X.min(initial=0.0))))[1]
+
+
+def _scale_shift(X: np.ndarray) -> int:
+    """0 for X inside the exponent band, else the power of two that brings
+    max|X| into [0.5, 1)."""
+    e = _max_exponent(X)
+    return 0 if abs(e) <= SCALE_EXP_BAND else -e
 
 
 def _top_right_vectors(X: np.ndarray, k: int) -> np.ndarray:
     """The top k right singular vectors of X (n x k, orthonormal, signs
     unfixed), from the top k eigenpairs of its Gram matrix on the smaller
-    side: X X^T when X is wide (n > p), else X^T X."""
+    side: X X^T when X is wide (n > p), else X^T X. Outside the exponent
+    band the Gram is formed from X scaled by a power of two."""
+    if shift := _scale_shift(X):
+        X = np.ldexp(X, shift)
     wide = X.shape[1] > X.shape[0]
     theta, U = _top_eigvecs(X @ X.T if wide else X.T @ X, k)
     return _right_vectors(X, np.sqrt(np.maximum(theta, 0.0)), U) if wide else U
@@ -195,11 +223,8 @@ class OrthonormalBasis:
             raise ValueError("ambient dimension must be at least 1")
         if r > n:
             raise ValueError(f"subspace dimension {r} exceeds ambient dimension {n}")
-        if r > 0:
-            deviation = cols.T @ cols
-            deviation.flat[::r + 1] -= 1.0  # B^T B - I, with no identity built
-            if np.abs(deviation).max() > ORTHONORMAL_TOL:
-                cols, _ = np.linalg.qr(cols)
+        if _off_identity(cols) > ORTHONORMAL_TOL:
+            cols, _ = np.linalg.qr(cols)
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
 
@@ -326,29 +351,29 @@ def _flag_mean_refined(blocks):
             break
         G = T.T @ cols
         vals, vecs = np.linalg.eigh(G @ G.T)
-        keep = vals >= vals[-1] - 1e-9
+        keep = vals >= vals[-1] - TIE_REFINE_ATOL
         T = T @ vecs[:, keep]
     return _fix_sign(T[:, 0]), bool(tied > 1)
 
 
-def _pair_tied(sig: np.ndarray, r1: int, r2: int) -> bool:
-    """Whether bases of ranks r1 <= r2 and principal cosines sig tie: [B1 B2]
-    has squared singular values 1 + sig[0], then 1 + sig[1], 1 or 1 - sig[0]."""
-    nxt = 1.0 + sig[1] if r1 > 1 else 1.0 if r1 < r2 else 1.0 - sig[0]
+def _pair_tied(sig: np.ndarray, unequal: bool) -> bool:
+    """Whether bases with principal cosines sig, of unequal ranks or not, tie:
+    [B1 B2] has squared singular values 1 + sig[0], then 1 + sig[1], 1 or 1 - sig[0]."""
+    nxt = 1.0 + sig[1] if sig.size > 1 else 1.0 if unequal else 1.0 - sig[0]
     return not math.sqrt(max(nxt, 0.0)) < math.sqrt(1.0 + sig[0]) * (1.0 - TIE_RTOL)
 
 
 def _pair_svd(B1: np.ndarray, B2: np.ndarray):
-    """The one SVD of a two-block stage, B1^T B2 = X diag(sig) Y^T with the
-    smaller rank first: (U, V, sig, angles, swap) for the principal pairs U =
-    B1 X, V = B2 Y, the angles of their bisectors to both bases, and whether
-    B1 and B2 were exchanged. A rejected gate keeps it for the resume."""
+    """The one SVD of two bases' cross Gram, taken with the smaller rank first:
+    (U, V, sig, angles) for the principal pairs U = B1 X, V = B2 Y in block
+    order (the first len(sig) columns pair up), their cosines sig and the
+    angles of their bisectors to both bases."""
     if swap := B1.shape[1] > B2.shape[1]:
         B1, B2 = B2, B1
     X, sig, Yt = np.linalg.svd(B1.T @ B2)
     U, V = B1 @ X, B2 @ Yt.T
     angles = np.arcsin(np.minimum(np.linalg.norm(U - V[:, :B1.shape[1]], axis=0) / 2.0, 1.0))
-    return U, V, sig, angles, swap
+    return (V, U, sig, angles) if swap else (U, V, sig, angles)
 
 
 def _pair_stage(svd: tuple, angle_threshold: float):
@@ -360,16 +385,14 @@ def _pair_stage(svd: tuple, angle_threshold: float):
     to both bases. W holds those below ``angle_threshold``, sign-fixed, B1'
     and B2' the bases left once they are peeled, stop the first rejected angle.
     """
-    U, V, sig, angles, swap = svd
-    r1, r2 = U.shape[1], V.shape[1]
+    U, V, sig, angles = svd
     below = angles < angle_threshold
-    a = r1 if below.all() else int(below.argmin())
-    if any(_pair_tied(sig[j:], r1 - j, r2 - j) for j in range(min(a + 1, r1))):
+    a = sig.size if below.all() else int(below.argmin())
+    if any(_pair_tied(sig[j:], U.shape[1] != V.shape[1]) for j in range(min(a + 1, sig.size))):
         return None
     W = np.column_stack([_fix_sign(w / math.sqrt(w @ w)) for w in (U[:, :a] + V[:, :a]).T]
                         ) if a else U[:, :0]
-    rest = (V[:, a:], U[:, a:]) if swap else (U[:, a:], V[:, a:])
-    return W, angles[:a].tolist(), *rest, float(angles[a]) if a < r1 else None
+    return W, angles[:a].tolist(), U[:, a:], V[:, a:], float(angles[a]) if a < sig.size else None
 
 
 def deflate(B: OrthonormalBasis, w: UnitDirection) -> OrthonormalBasis:

@@ -15,11 +15,13 @@ import numpy as np
 
 from .core import DecompositionResult, MultiBlockDataset, _path, extract_signal, identify
 from .structure import IndexOrdering, PartialJointStructure, dissimilarity
-from .subspace import OrthonormalBasis
+from .subspace import SCALE_EXP_BAND, OrthonormalBasis, _max_exponent, _scale_shift
 
 DEFAULT_GRID_DEG = tuple(range(0, 90))  # 0..89 degrees; pi/2 itself is excluded
 # Below this eigenvalue ratio the risk's r x r Gram loses accuracy (an SVD instead)
 RISK_EIGH_RTOL = 1e-4
+# test_scores flags X_test^T U_train as rank-deficient at s_min <= rtol * s_max
+DEGENERATE_RTOL = 1e-12
 
 
 def default_grid() -> np.ndarray:
@@ -65,7 +67,7 @@ def test_scores(X_test: np.ndarray, U_train: np.ndarray):
         return np.zeros((n_test, 0)), False
     M = X_test.T @ U_train
     P, s, Qt = np.linalg.svd(M, full_matrices=False)
-    degenerate = bool(s[0] <= 0.0 or s[-1] <= 1e-12 * s[0])
+    degenerate = bool(s[0] <= 0.0 or s[-1] <= DEGENERATE_RTOL * s[0])
     return P @ Qt, degenerate
 
 
@@ -98,9 +100,9 @@ def _heldout_pieces(test_blocks, train_signals: Sequence) -> tuple:
     """
     V, A, S, denoms = [], [], [], []
     for X_test, sig in zip(test_blocks, train_signals):
-        denom = float(np.sum(X_test * X_test))
-        if denom == 0.0:
+        if not X_test.any():
             raise ValueError("test block with zero norm; drop it before tuning")
+        denom = float(np.sum(X_test * X_test))
         L = sig.factor
         V.append(sig.score_basis.columns)
         A.append(X_test.T @ L)
@@ -140,6 +142,8 @@ def _heldout_risk(pieces: tuple, result) -> float:
     W_test = Q polar(R C) and <A_k C_k, W_test> = <C_k, (R^T polar(R C))_k>,
     with polar(R C) = R C E L^(-1/2) E^T for the r x r eigh (R C)^T R C =
     E L E^T, or from the SVD of R C when L spans 1 / RISK_EIGH_RTOL or more.
+    polar(R C) does not depend on the scale of R C, so outside the exponent
+    band R C is scaled by a power of two before its Gram is formed.
     """
     V, R, S, rows, denoms = pieces
     W, labels = result.stacked_scores()
@@ -147,6 +151,8 @@ def _heldout_risk(pieces: tuple, result) -> float:
                       dtype=float)
     C = (V.T @ W) * inside[rows]
     RC = R @ C
+    if shift := _scale_shift(RC):
+        RC = np.ldexp(RC, shift)
     lam, E = np.linalg.eigh(RC.T @ RC)
     if lam[0] > RISK_EIGH_RTOL * lam[-1]:
         pulled = (R.T @ RC) @ ((E / np.sqrt(lam)) @ E.T)
@@ -232,12 +238,22 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
                 f"n_train = {n_train} of the n = {data.n} samples; lower the rank "
                 f"to at most {n_train}")
     tr, te = list(plan.train), list(plan.test)
+    # When a block lies outside the exponent band, every block's copies are
+    # scaled by one power of two, which centres the blocks' exponents: the
+    # risk weighs blocks by their norms, so they must keep their ratios.
+    exps = [_max_exponent(X) for X in data.blocks]
+    shift = 0 if max(map(abs, exps)) <= SCALE_EXP_BAND else -((max(exps) + min(exps)) // 2)
+
+    def scaled_cols(X, cols):
+        part = X[:, cols]
+        return np.ldexp(part, shift, out=part) if shift else part
+
     # Each block's training and test copies are made one at a time and dropped
     # once used: the training signal keeps only its p x r factor.
-    train_signals = [extract_signal(X[:, tr], r, check_centering=False)
+    train_signals = [extract_signal(scaled_cols(X, tr), r, check_centering=False)
                      for X, r in zip(data.blocks, ranks)]
     coords, T = _stacked_coordinates(train_signals)
-    pieces = (T, *_heldout_pieces((X[:, te] for X in data.blocks), train_signals)[1:])
+    pieces = (T, *_heldout_pieces((scaled_cols(X, te) for X in data.blocks), train_signals)[1:])
 
     # identify is piecewise constant in the threshold, so the held-out risk is
     # computed once per interval of the path.

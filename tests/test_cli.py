@@ -493,6 +493,120 @@ class TestDegenerateBlocks:
         assert run_cli(*command, "--blocks", *blocks, "--ranks", "4,4,4",
                        "--out", str(tmp_path / "o")) == 0
 
+    @pytest.mark.parametrize("cuts, zero", [(0.5, True), (2.0, False)])
+    def test_all_zero_cut_after_centering(self, generated, tmp_path, capsys, cuts, zero):
+        # ZERO_RTOL is 1e-12: rows of 1 + d u, u a zero-mean sign pattern and
+        # d = cuts * 1e-12, centre to +-d against a raw row max of 1 + d
+        rng = np.random.default_rng(6)
+        signs = np.array([rng.permutation([1.0, -1.0] * 20) for _ in range(30)])
+        block = tmp_path / "near_const.csv"
+        np.savetxt(block, 1.0 + cuts * 1e-12 * signs, delimiter=",", fmt="%.17g")
+        blocks = [str(generated / "X_1.csv"), str(generated / "X_2.csv"), str(block)]
+        code = run_cli("decompose", "--lambda-deg", "20", "--blocks", *blocks,
+                       "--ranks", "4,4,4", "--center", "--out", str(tmp_path / "o"))
+        assert code == (2 if zero else 0)
+        assert (f"{block} is all zeros after row centering" in capsys.readouterr().err) == zero
+
+
+def halves(X, top, bottom):
+    """X with its first half of rows times ``top`` and the rest times ``bottom``."""
+    h = X.shape[0] // 2
+    return np.vstack([X[:h] * top, X[h:] * bottom])
+
+
+# name: (scaling of each block, scaling of its counterpart, factor c of the
+# loadings against the counterpart's)
+SCALE_CASES = {
+    "tiny": (lambda X: X * 1e-200, lambda X: X, 1e-200),
+    "huge": (lambda X: X * 1e200, lambda X: X, 1e200),
+    "split": (lambda X: halves(X, 1e150, 1e-150), lambda X: halves(X, 1.0, 0.0), 1e150),
+}
+
+
+class TestScaleSafety:
+    """Blocks far outside the float range of their squares (ROADMAP item 15)
+    give the outputs of their unscaled counterparts: every block times one
+    factor, or each block's first half of rows at 1e150 and the rest at
+    1e-150, whose counterpart has those rows at zero, as far below the rest
+    as double precision can see. Every command exits 0, and pytest turns a
+    RuntimeWarning into an error. Scaling every block by the same factor
+    leaves the held-out risk unchanged, so the tuned outputs must agree too.
+    The factors are not powers of two, so the numbers agree to rounding."""
+
+    COMMANDS = {"fixed": ["decompose", "--lambda-deg", "30"], "tuned": ["decompose", "--tune"],
+                "tune": ["tune", "--reps", "3", "--threads", "1"]}
+
+    @staticmethod
+    def run_all(tmp_path, name, scale):
+        rng = np.random.default_rng(0)
+        paths = []
+        for k, p in enumerate((30, 25, 20), start=1):
+            paths.append(str(tmp_path / f"{name}_{k}.csv"))
+            np.savetxt(paths[-1], scale(rng.standard_normal((p, 12))), delimiter=",",
+                       fmt="%.17g")
+        outs = {}
+        for key, command in TestScaleSafety.COMMANDS.items():
+            outs[key] = tmp_path / f"{name}_{key}"
+            assert run_cli(*command, "--blocks", *paths, "--ranks", "2,2,2", "--center",
+                           "--out", str(outs[key])) == 0
+        return outs
+
+    @pytest.mark.parametrize("name", SCALE_CASES)
+    def test_outputs_of_the_unscaled_counterpart(self, tmp_path, name):
+        scale, counterpart, c = SCALE_CASES[name]
+        got, want = self.run_all(tmp_path, name, scale), self.run_all(tmp_path, "ref", counterpart)
+
+        def csv(path):
+            return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+        for key in ("fixed", "tuned"):
+            a, b = got[key], want[key]
+            assert (a / "structure.json").read_text() == (b / "structure.json").read_text()
+            np.testing.assert_allclose(csv(a / "scores.csv"), csv(b / "scores.csv"),
+                                       rtol=0.0, atol=1e-10)
+            for k in (1, 2, 3):
+                L, L0 = csv(a / f"loadings_{k}.csv"), c * csv(b / f"loadings_{k}.csv")
+                np.testing.assert_allclose(L, L0, rtol=0.0, atol=1e-9 * np.abs(L0).max())
+            da, db = (json.loads((d / "diagnostics.json").read_text()) for d in (a, b))
+            assert da["angle_threshold_deg"] == db["angle_threshold_deg"]
+            ra, rb = da["acceptances"], db["acceptances"]
+            assert [r["blocks"] for r in ra] == [r["blocks"] for r in rb]
+            np.testing.assert_allclose([r["angles_deg"] for r in ra],
+                                       [r["angles_deg"] for r in rb], atol=1e-8)
+        assert (got["tune"] / "tune.json").read_text() == (want["tune"] / "tune.json").read_text()
+        ca, cb = (np.loadtxt(d / "curves.tsv", skiprows=1) for d in (got["tune"], want["tune"]))
+        np.testing.assert_array_equal(ca[:, [0, 1, 3]], cb[:, [0, 1, 3]])
+        np.testing.assert_allclose(ca[:, 2], cb[:, 2], rtol=1e-9)
+
+    @pytest.mark.parametrize("factor", [1e-200, 1e200])
+    def test_var_prop_ranks_at_any_scale(self, tmp_path, factor):
+        # the shares of s_i^2 are taken from s scaled by a power of two
+        rng = np.random.default_rng(0)
+        blocks = [rng.standard_normal((p, 12)) for p in (30, 25, 20)]
+        outs = []
+        for name, c in (("ref", 1.0), ("scaled", factor)):
+            paths = [str(tmp_path / f"{name}_{k}.csv") for k in (1, 2, 3)]
+            for path, X in zip(paths, blocks):
+                np.savetxt(path, c * X, delimiter=",", fmt="%.17g")
+            outs.append(tmp_path / name)
+            assert run_cli("decompose", "--lambda-deg", "30", "--var-prop", "0.5",
+                           "--blocks", *paths, "--center", "--out", str(outs[-1])) == 0
+        a, b = ((d / "structure.json").read_text() for d in outs)
+        assert a == b
+
+    def test_one_tiny_block_tunes(self, tmp_path, capsys):
+        # One block at 1e-200 used to stop tuning with "test block with zero
+        # norm"; at a fixed threshold its fit is that of the unscaled block.
+        got = self.run_all(tmp_path, "one", lambda X: X * (1e-200 if X.shape[0] == 30 else 1.0))
+        want = self.run_all(tmp_path, "ref", lambda X: X)
+        assert "zero norm" not in capsys.readouterr().err
+        a, b = got["fixed"], want["fixed"]
+        assert (a / "structure.json").read_text() == (b / "structure.json").read_text()
+        scores = [(d / "scores.csv").read_text().split("\n", 1) for d in (a, b)]
+        assert scores[0][0] == scores[1][0]  # the index-set labels
+        np.testing.assert_allclose(*(np.loadtxt(d / "scores.csv", delimiter=",", skiprows=1)
+                                     for d in (a, b)), rtol=0.0, atol=1e-10)
+
 
 class TestLoadDataset:
     @staticmethod

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -385,6 +387,17 @@ def benchmark_fit(model_id, seed, transform=lambda k, X: X, lam=np.deg2rad(20)):
     return signals, identify(signals, model.ordering, lam)
 
 
+def normal_shifts(*arrays):
+    """(lo, hi): the powers 2^j, lo <= j <= hi, that keep every nonzero entry
+    of every array a normal float."""
+    lo, hi = -2000, 2000
+    for A in arrays:
+        mags = np.abs(A[A != 0])
+        lo = max(lo, -1021 - int(np.frexp(mags.min())[1]))
+        hi = min(hi, 1024 - int(np.frexp(mags.max())[1]))
+    return lo, hi
+
+
 class TestIdentifyInvariances:
     """Symmetries of the data that identify must respect, on the benchmark
     models. Only spans are compared under a permutation: the columns of a
@@ -410,6 +423,37 @@ class TestIdentifyInvariances:
                 for (k, subset), U in loads.items():
                     want = U * 2.0**j if k == block else U
                     assert scaled[(k, subset)].tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(model_id=st.integers(1, 6), block=st.integers(1, 3), data=st.data())
+    def test_scaling_a_block_by_any_power_of_two(self, model_id, block, data):
+        # Over every j that keeps the nonzero entries of the block, its factor
+        # and its loadings normal floats: outside the exponent band the Gram
+        # is formed from the block scaled back into it
+        signals, base = benchmark_fit(model_id, 1)
+        loads = estimate_loadings(signals, base).blocks
+        X = generate(model_preset(model_id, snr=15.0, n=120, block_size=80), 1).blocks[block - 1]
+        lo, hi = normal_shifts(X, signals[block - 1].factor,
+                               *[U for (k, _), U in loads.items() if k == block])
+        j = data.draw(st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi)), label="j")
+        scaled_signals, res = benchmark_fit(
+            model_id, 1, lambda k, X: np.ldexp(X, j) if k == block else X)
+        assert res.structure.entries == base.structure.entries
+        assert res.stacked_scores()[0].tobytes() == base.stacked_scores()[0].tobytes()
+        assert res.diagnostics == base.diagnostics
+        assert res.stable_interval == base.stable_interval
+        scaled = estimate_loadings(scaled_signals, res).blocks
+        for (k, subset), U in loads.items():
+            want = np.ldexp(U, j) if k == block else U
+            assert scaled[(k, subset)].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("j", (-1000, -400, 400, 1000))
+    def test_centering_check_at_any_scale(self, j):
+        X = generate(model_preset(6, snr=15.0, n=40, block_size=30), 1).blocks[0]
+        centered = row_center(X)
+        X, centered = (A / np.abs(A).max() for A in (X, centered))  # exponent 1
+        assert not is_row_centered(np.ldexp(X, j))
+        assert is_row_centered(np.ldexp(centered, j))
 
     @pytest.mark.parametrize("seed", (1, 2, 3, 4))
     @pytest.mark.parametrize("model_id", range(1, 7))
@@ -566,6 +610,28 @@ class TestUniquenessChecks:
         assert rep.layer_subspaces[1].r == int(shared)
         assert rep.layer_independence == {1: shared, 2: True}
 
+    @pytest.mark.parametrize("delta, orthogonal", [(0.5, True), (2.0, False)])
+    def test_relative_orthogonality_cut(self, delta, orthogonal):
+        # two lines at cosine delta * ORTHO_CHECK_TOL (1e-8, written out):
+        # nothing is shared, so the singletons are the lines themselves
+        t = delta * 1e-8
+        lines = [np.eye(3)[:, :1], np.array([[t], [math.sqrt(1.0 - t * t)], [0.0]])]
+        rep = check_relative_independence([OrthonormalBasis(v) for v in lines],
+                                          default_ordering(2))
+        assert rep.relative_orthogonality == orthogonal
+        assert rep.absolute_orthogonality == orthogonal
+        assert rep.relative_independence
+
+    @pytest.mark.parametrize("delta, rank", [(0.5, 1), (2.0, 2)])
+    def test_span_sum_cut(self, delta, rank):
+        # [e1, c e1 + t e2] has singular values whose ratio is about t / 2;
+        # at or below COMPLEMENT_TOL (1e-8, written out) the second is dropped
+        from psidecomp import core
+        t = 2.0 * delta * 1e-8
+        eye = np.eye(4)
+        parts = [eye[:, :1], (math.sqrt(1.0 - t * t) * eye[:, 0] + t * eye[:, 1])[:, None]]
+        assert core._span_sum(parts, 4).shape == (4, rank)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            atoms=st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
@@ -598,6 +664,96 @@ class TestUniquenessChecks:
                 assert rep.relative_orthogonality
             if rep.relative_orthogonality:
                 assert rep.relative_independence
+
+
+def uniqueness_inputs():
+    """Every exact-basis input of the uniqueness tests, with its K."""
+    e = np.eye(6)
+    rng = np.random.default_rng(4)
+    q = np.linalg.qr(rng.standard_normal((7, 5)))[0]
+    mixed = [OrthonormalBasis(c @ np.linalg.qr(rng.standard_normal((c.shape[1],) * 2))[0])
+             for c in (q[:, [0, 1, 2]], q[:, [0, 3]], q[:, [4]])]
+    a, g, h = np.linalg.qr(np.random.default_rng(37).standard_normal((8, 3)))[0].T
+    lines = [[OrthonormalBasis(v[:, None]) for v in
+              (a, c * a + np.sqrt(1.0 - c * c) * g, 0.9 * g + np.sqrt(0.19) * h)]
+             for c in (1.0 - 0.5e-9, 1.0 - 2e-9)]
+    return [(independent_bases(), 3), (dependent_bases(), 3),
+            (absolutely_orthogonal_bases(), 4), (non_absolutely_orthogonal_bases(), 4),
+            ([OrthonormalBasis(e[:, i:i + 2]) for i in (0, 2, 4)], 3), (mixed, 3),
+            *[(bases, 3) for bases in lines], ([OrthonormalBasis(e[:3, :2])], 1)]
+
+
+def direct_pair_svd(A, B):
+    """One SVD of A^T B in the order given, as the uniqueness checks took it
+    before they shared identify's pair kernel."""
+    X, sig, Yt = np.linalg.svd(A.T @ B)
+    return A @ X, B @ Yt.T, sig, None
+
+
+class TestUniquenessSharesThePairKernel:
+    """check_relative_independence takes every two-basis SVD from
+    core._pair_svd, and reads as it did with one direct SVD per pair."""
+
+    @pytest.mark.parametrize("case", range(len(uniqueness_inputs())))
+    def test_matches_the_direct_svd(self, monkeypatch, case):
+        from psidecomp import core
+        bases, K = uniqueness_inputs()[case]
+        ordering = default_ordering(K)
+        cols = [b.columns for b in bases]
+
+        def run():
+            inter = {s: core._intersection(cols, s.members, core.INTERSECTION_COS_TOL)
+                     for s in ordering}
+            return check_relative_independence(bases, ordering), inter
+
+        rep, inter = run()
+        monkeypatch.setattr(core, "_pair_svd", direct_pair_svd)
+        ref, ref_inter = run()
+        for verdict in ("relative_independence", "relative_orthogonality",
+                        "absolute_orthogonality", "layer_independence"):
+            assert getattr(rep, verdict) == getattr(ref, verdict), verdict
+        assert (rep.failure is None) == (ref.failure is None)
+        if rep.failure is not None:
+            assert rep.failure[:2] == ref.failure[:2]
+            w, w_ref = rep.failure[2], ref.failure[2]
+            assert abs(abs(w @ w_ref) - 1.0) <= 1e-12
+        pairs = [(inter[s], ref_inter[s]) for s in ordering]
+        pairs += [(rep.layer_subspaces[k].columns, ref.layer_subspaces[k].columns)
+                  for k in ref.layer_subspaces]
+        pairs += [(rep.complement_bases[s].columns, ref.complement_bases[s].columns)
+                  for s in ref.complement_bases]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got @ got.T, want @ want.T, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bases", [independent_bases(), dependent_bases()],
+                             ids=["independent", "dependent"])
+    def test_every_cross_gram_svd_goes_through_the_pair_kernel(self, monkeypatch, bases):
+        # Each basis has fewer columns than n = 4 rows, so a cross Gram has
+        # fewer than n rows, and every other SVD of the check (orthonormalize,
+        # _complement) is of n-row columns.
+        from psidecomp import core
+        n = bases[0].n
+        inside, outside, pair_calls = [], [], []
+        real_svd, real_pair = np.linalg.svd, core._pair_svd
+
+        def counted_svd(a, *args, **kwargs):
+            (inside if pair_calls and pair_calls[-1] else outside).append(np.shape(a)[0])
+            return real_svd(a, *args, **kwargs)
+
+        def counted_pair(A, B):
+            pair_calls.append(True)
+            try:
+                return real_pair(A, B)
+            finally:
+                pair_calls.append(False)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(core, "_pair_svd", counted_pair)
+        check_relative_independence(bases, default_ordering(3))
+        assert inside and all(rows < n for rows in inside)
+        assert len(inside) == len(pair_calls) // 2
+        assert outside and all(rows == n for rows in outside)
 
 
 @pytest.mark.parametrize("call, error, message", (

@@ -46,6 +46,8 @@ from psidecomp.subspace import (
     _flag_mean_refined,
     _pair_stage,
     _pair_svd,
+    _right_vectors,
+    _scale_shift,
     _sine,
     _top_eigvecs,
     orthonormalize,
@@ -559,9 +561,33 @@ class TestTieCut:
             assert (_pair_stage(_pair_svd(*inputs), 1.5) is None) == tied
 
 
-# CHEB_GAP_RTOL's and CHEB_NULL_RTOL's values, written out: the inputs below
-# must not move with them.
-GAP_CUT, NULL_CUT = 1e-3, 1e-12
+# TIE_REFINE_ATOL's value, written out: the inputs below must not move with it.
+REFINE_CUT = 1e-9
+
+
+class TestTieRefineCut:
+    """A tied flag mean keeps, against each block in turn, the tied
+    directions whose squared cosine to it is within REFINE_CUT of the best."""
+
+    @pytest.mark.parametrize("delta, kept_both", [(0.5, True), (2.0, False)])
+    def test_narrowing_at_the_cut(self, delta, kept_both):
+        # B_1 = [e1, c e2 + s e3] and B_2 = [e1, c e2 - s e3], s^2 = delta *
+        # REFINE_CUT: the stack's top two singular values 2 and 2 c^2 tie, and
+        # span(e1, e2) has squared cosines 1 and c^2 to each block. Narrowed,
+        # the flag mean is e1; kept whole, it is the last eigenvector of the
+        # refinement, e2.
+        s = math.sqrt(delta * REFINE_CUT)
+        c = math.sqrt(1.0 - s * s)
+        eye = np.eye(5)
+        blocks = [np.column_stack([eye[0], c * eye[1] + sign * s * eye[2]]) for sign in (1, -1)]
+        w, degenerate = _flag_mean_refined(blocks)
+        assert degenerate
+        np.testing.assert_allclose(np.abs(w), eye[1] if kept_both else eye[0], atol=1e-6)
+
+
+# CHEB_GAP_RTOL's, CHEB_NULL_RTOL's and CHEB_RES_RTOL's values, written out:
+# the inputs below must not move with them.
+GAP_CUT, NULL_CUT, RES_CUT = 1e-3, 1e-12, 1e-13
 
 
 def first_ritz_values(G, k):
@@ -569,6 +595,17 @@ def first_ritz_values(G, k):
     m = k + max(k, 4)
     Y = np.linalg.qr(G @ subspace._start_block(G.shape[0], m))[0]
     return np.linalg.eigvalsh(Y.T @ G @ Y)[::-1]
+
+
+def first_residual(G, k):
+    """max ||G y - theta y|| / theta_1 over the wanted Ritz pairs of
+    _top_eigvecs's first Rayleigh-Ritz step."""
+    m = k + max(k, 4)
+    Y = np.linalg.qr(G @ subspace._start_block(G.shape[0], m))[0]
+    theta, Z = np.linalg.eigh(Y.T @ G @ Y)
+    Y = Y @ Z[:, ::-1][:, :k]
+    R = G @ Y - Y * theta[::-1][:k]
+    return math.sqrt(np.max(np.sum(R * R, axis=0))) / theta[-1]
 
 
 class TestEigensolverCuts:
@@ -609,6 +646,30 @@ class TestEigensolverCuts:
                 theta, U = _top_eigvecs(G, k)
         assert (n in sizes) == falls_back
         assert len(sweeps) == (0 if falls_back else 1)
+        assert_matches_eigh(G, k, theta, U)
+
+
+    @pytest.mark.parametrize("delta, sweeps", [(0.5, 0), (2.0, 1)])
+    def test_residual_stop(self, delta, sweeps):
+        # eight eigenvalues 1 to 0.3 above a tail whose size sets the first
+        # step's residual, in proportion, to delta * RES_CUT * theta_1: at or
+        # below the cut that step stops, above it one filter sweep runs
+        def gram(tail):
+            rng = np.random.default_rng(41)
+            return spectral_gram(rng, np.concatenate([np.linspace(1.0, 0.3, 8),
+                                                      tail * rng.random(112)]))
+        n, k = 120, 4
+        per_tail = first_residual(gram(1e-10), k) / 1e-10
+        G = gram(delta * RES_CUT / per_tail)
+        assert first_residual(G, k) == pytest.approx(delta * RES_CUT, rel=0.05)
+        calls = []
+        real = subspace._chebyshev_filter
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subspace, "_chebyshev_filter",
+                       lambda *args: calls.append(1) or real(*args))
+            with full_eigh_sizes() as sizes:
+                theta, U = _top_eigvecs(G, k)
+        assert n not in sizes and len(calls) == sweeps
         assert_matches_eigh(G, k, theta, U)
 
 
@@ -656,6 +717,49 @@ class TestComplementCut:
         np.testing.assert_allclose(np.abs(kept[:, 0]), eye[:, 3], rtol=0.0, atol=1e-12)
 
 
+# DIVISION_TOL's value, written out: the inputs below must not move with it.
+DIVISION_CUT = 1e-14
+
+
+class TestDivisionCut:
+    """_right_vectors keeps V = X^T U / s while max |V^T V - I| is at most
+    DIVISION_CUT, and takes a QR of X^T U above it."""
+
+    @pytest.mark.parametrize("delta, qr_calls", [(0.5, 0), (2.0, 1)])
+    def test_qr_at_the_cut(self, monkeypatch, delta, qr_calls):
+        # V = [e_1, d e_1 + sqrt(1 - d^2) e_2] with d = delta * DIVISION_CUT
+        d = delta * DIVISION_CUT
+        B = np.zeros((6, 2))
+        B[0, 0], B[0, 1], B[1, 1] = 1.0, d, math.sqrt(1.0 - d * d)
+        qr, calls = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw))
+        V = _right_vectors(B.T, np.ones(2), np.eye(2))
+        assert len(calls) == qr_calls
+        assert np.max(np.abs(V.T @ V - np.eye(2))) <= (d if qr_calls == 0 else 1e-15)
+
+
+# SCALE_EXP_BAND's value, written out: the inputs below must not move with it.
+SCALE_CUT = 100
+
+
+class TestScaleBand:
+    """A matrix whose largest entry has a binary exponent within SCALE_CUT of
+    0 is used as given; one beyond it is scaled into [0.5, 1)."""
+
+    @pytest.mark.parametrize("e", [SCALE_CUT // 2, -SCALE_CUT // 2, 2 * SCALE_CUT,
+                                   -2 * SCALE_CUT])
+    def test_shift_at_the_band(self, e):
+        X = np.ldexp(np.random.default_rng(2).uniform(0.25, 0.5, (4, 3)), e)
+        X[0, 0] = -np.ldexp(0.75, e)  # the largest magnitude may be negative
+        shift = _scale_shift(X)
+        assert shift == (0 if abs(e) <= SCALE_CUT else -e)
+        if shift:
+            assert np.abs(np.ldexp(X, shift)).max() == 0.75
+
+    def test_all_zero(self):
+        assert _scale_shift(np.zeros((3, 2))) == 0
+
+
 class TestPairStageKernel:
     """_pair_stage's bisectors and angles are the flag means and angles of
     the public kernels, taken in turn and each deflated from both bases."""
@@ -696,6 +800,34 @@ class TestPairStageKernel:
         W, accepted, left1, left2, stop = _pair_stage(svd, lam)
         assert W.shape[1] == 2 and accepted == angles[:2] and left1.shape[1] == 2
         assert accepted[-1] < lam <= stop == angles[2]
+
+
+class TestPairSvd:
+    """_pair_svd is one SVD taken with the smaller rank first, its principal
+    pairs handed back in block order."""
+
+    @pytest.mark.parametrize("ranks", [(3, 5), (1, 6), (2, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exchanging_the_bases_exchanges_the_sides(self, ranks, seed):
+        rng = np.random.default_rng(seed)
+        B1, B2 = (orthonormalize(rng.standard_normal((20, r))).columns for r in ranks)
+        U, V, sig, angles = _pair_svd(B1, B2)
+        V2, U2, sig2, angles2 = _pair_svd(B2, B1)
+        assert U.shape == (20, ranks[0]) and V.shape == (20, ranks[1])
+        for a, b in ((U, U2), (V, V2), (sig, sig2), (angles, angles2)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("ranks", [(3, 5), (5, 3), (4, 4)])
+    def test_pairs_are_principal_vectors_of_each_basis(self, ranks):
+        rng = np.random.default_rng(7)
+        B1, B2 = (orthonormalize(rng.standard_normal((20, r))).columns for r in ranks)
+        U, V, sig, _ = _pair_svd(B1, B2)
+        m = min(ranks)
+        np.testing.assert_allclose(sig, np.linalg.svd(B1.T @ B2, compute_uv=False),
+                                   rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(np.sum(U[:, :m] * V[:, :m], axis=0), sig, atol=1e-14)
+        for B, P in ((B1, U), (B2, V)):
+            np.testing.assert_allclose(P @ P.T, B @ B.T, rtol=0.0, atol=1e-14)
 
 
 class TestGateSharesCoefficients:

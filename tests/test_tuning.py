@@ -4,6 +4,8 @@ import pickle
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psidecomp import (
     DecompositionResult,
@@ -104,6 +106,13 @@ class TestTestScores:
         assert W.shape == (10, 3)
         assert np.max(np.abs(W.T @ W - np.eye(3))) < 1e-10
 
+    @pytest.mark.parametrize("delta, degenerate", [(0.5, True), (2.0, False)])
+    def test_degenerate_flag_at_its_cut(self, delta, degenerate):
+        # X_test^T U_train = diag(1, delta * 1e-12), DEGENERATE_RTOL written out
+        X = np.zeros((3, 2))
+        X[0, 0], X[1, 1] = 1.0, delta * 1e-12
+        assert procrustes_scores(X, np.eye(3)[:, :2])[1] == degenerate
+
     def test_permutation_invariance_of_risk(self):
         rng = np.random.default_rng(6)
         X = [rng.standard_normal((8, 12)) for _ in range(2)]
@@ -177,6 +186,22 @@ class TestHeldOutRisk:
                 p_space_risk(signals, test, res), rel=1e-12)
 
 
+    @pytest.mark.parametrize("j", (-900, -300, 300, 900))
+    def test_risk_at_any_power_of_two(self, j):
+        # R, S and ||X_test||^2 carry the square of the data's scale. Far
+        # outside the exponent band R C is scaled back before its Gram, and
+        # the risk keeps its bits.
+        model = model_preset(6, snr=15.0, n=120, block_size=80)
+        data = generate(model, 1000).dataset()
+        train, test = split_halves(data, 1000)
+        signals = [extract_signal(B, r, check_centering=False)
+                   for B, r in zip(train, model.block_ranks())]
+        V, R, S, rows, denoms = _heldout_pieces(test, signals)
+        scaled = (V, np.ldexp(R, j), np.ldexp(S, j), rows, np.ldexp(denoms, j))
+        for _, _, res in identify_path(signals, model.ordering, default_grid()):
+            assert _heldout_risk(scaled, res) == _heldout_risk((V, R, S, rows, denoms), res)
+
+
 # RISK_EIGH_RTOL's value, written out: the inputs below must not move with it.
 RISK_CUT = 1e-4
 
@@ -227,6 +252,39 @@ class TestSelectLambda:
         with pytest.raises(ValueError, match="test block with zero norm"):
             select_lambda(MultiBlockDataset(tuple(blocks)), model.block_ranks(),
                           model.ordering, default_grid(), seed=3)
+
+    def test_tiny_test_block_is_not_zero(self):
+        # a test block at 2^-1000 squares to zero, yet it is not all zeros
+        model = model_preset(6, snr=15.0, n=40, block_size=20)
+        data = generate(model, seed=3).dataset()
+        blocks = [np.ldexp(X, -1000) if k == 1 else X for k, X in enumerate(data.blocks)]
+        res = select_lambda(MultiBlockDataset(tuple(blocks)), model.block_ranks(),
+                            model.ordering, default_grid(), seed=3)
+        assert all(np.isfinite(risk) for _, risk in res.risk_curve)
+
+    @settings(max_examples=25, deadline=None)
+    @given(model_id=st.integers(1, 6), data=st.data())
+    def test_scaling_every_block_by_any_power_of_two(self, model_id, data):
+        # Over every j that keeps the nonzero entries of the blocks and of
+        # their whole-data factors normal floats, each block's copies are
+        # scaled by one common power of two, and the curves keep their bits.
+        model = model_preset(model_id, snr=15.0, n=60, block_size=40)
+        dataset = generate(model, 1000).dataset()
+        ranks = model.block_ranks()
+        lo, hi = -2000, 2000
+        for X, r in zip(dataset.blocks, ranks):
+            for A in (X, extract_signal(X, r, check_centering=False).factor):
+                mags = np.abs(A[A != 0])
+                lo = max(lo, -1021 - int(np.frexp(mags.min())[1]))
+                hi = min(hi, 1024 - int(np.frexp(mags.max())[1]))
+        j = data.draw(st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi)), label="j")
+        base = select_lambda(dataset, ranks, model.ordering, default_grid(), seed=1000)
+        scaled = MultiBlockDataset(tuple(np.ldexp(X, j) for X in dataset.blocks))
+        res = select_lambda(scaled, ranks, model.ordering, default_grid(), seed=1000)
+        assert res.risk_curve == base.risk_curve
+        assert res.dissimilarity_curve == base.dissimilarity_curve
+        assert (res.lambda_tilde, res.lambda_hat) == (base.lambda_tilde, base.lambda_hat)
+        assert res.structure_hat.entries == base.structure_hat.entries
 
     def test_singleton_grid(self):
         model = model_preset(2, snr=20.0, n=40, block_size=30)

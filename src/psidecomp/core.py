@@ -345,7 +345,7 @@ def _path(signals, ordering: IndexOrdering, grid, per_stage: bool):
     n = signals[0].score_basis.n
     if any(sig.score_basis.n != n for sig in signals):
         raise ValueError("all blocks must share the sample dimension n")
-    work = tuple(np.array(sig.score_basis.columns) for sig in signals)
+    work = tuple(sig.score_basis.columns for sig in signals)
     path = []
     saved = [_Checkpoint(0, work, (), (), ())]
     i = 0
@@ -383,11 +383,11 @@ class UniquenessReport:
         return all(self.layer_independence.values())
 
 
-def _intersection(blocks, members, cos_tol) -> np.ndarray:
+def _intersection(blocks, members) -> np.ndarray:
     cols = blocks[members[0] - 1]
-    for m in members[1:]:  # the principal vectors of cols at cosines above 1 - cos_tol
+    for m in members[1:]:  # cols' principal vectors at cosines above 1 - INTERSECTION_COS_TOL
         U, _, sig, _ = _pair_svd(cols, blocks[m - 1])
-        cols = orthonormalize(U[:, :np.count_nonzero(sig > 1.0 - cos_tol)], COMPLEMENT_TOL).columns
+        cols = U[:, :np.count_nonzero(sig > 1.0 - INTERSECTION_COS_TOL)]
     return cols
 
 
@@ -395,8 +395,7 @@ def _span_sum(parts, n) -> np.ndarray:
     return orthonormalize(np.hstack([np.zeros((n, 0)), *parts]), COMPLEMENT_TOL).columns
 
 
-def check_relative_independence(exact_bases, ordering: IndexOrdering,
-                                tol: float = INTERSECTION_COS_TOL) -> UniquenessReport:
+def check_relative_independence(exact_bases, ordering: IndexOrdering) -> UniquenessReport:
     """Every uniqueness condition of the exact score subspaces, in one report;
     ``check_absolute_orthogonality`` is this same function."""
     blocks = [b.columns if isinstance(b, OrthonormalBasis) else np.asarray(b, float)
@@ -406,7 +405,7 @@ def check_relative_independence(exact_bases, ordering: IndexOrdering,
         raise ValueError(f"expected {K} bases, got {len(blocks)}")
     n = blocks[0].shape[0]
 
-    inter = {s: _intersection(blocks, s.members, tol) for s in ordering}
+    inter = {s: _intersection(blocks, s.members) for s in ordering}
 
     rel_orth = True
     rule5_holds = True
@@ -427,7 +426,7 @@ def check_relative_independence(exact_bases, ordering: IndexOrdering,
             if D.shape[1] and others.shape[1]:
                 U, _, sig, _ = _pair_svd(D, others)
                 top = float(sig[0])
-                if top > 1.0 - tol:
+                if top > 1.0 - INTERSECTION_COS_TOL:
                     layer_ok = False
                     if failure is None:
                         failure = (layer, s, _fix_sign(U[:, 0]))

@@ -24,8 +24,12 @@ from .structure import (
     default_ordering,
     structures_equal,
 )
-from .subspace import orthonormalize, principal_angle, UnitDirection
+from .subspace import OrthonormalBasis, orthonormalize, principal_angle, UnitDirection
 from .tuning import default_grid, select_lambda
+
+# A block's estimated loading span keeps the directions whose singular value
+# exceeds this fraction of the largest.
+LOADING_RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +172,7 @@ def generate(model: SimulationModel, seed: int, joint_orthonormal: bool = True,
     raw = rng.standard_normal((model.n, r_total))
     cuts = np.cumsum([r for _, r in active])[:-1]
     parts = [raw] if joint_orthonormal else np.split(raw, cuts, axis=1)
-    stacked = np.hstack([orthonormalize(part, 1e-12).columns for part in parts])
+    stacked = np.hstack([orthonormalize(part).columns for part in parts])
     scores, loadings = {}, {}
     for (subset, r), W in zip(active, np.split(stacked, cuts, axis=1)):
         scores[subset] = W
@@ -238,13 +242,13 @@ def metric_angles(truth: GroundTruth, loadings: LoadingSet, result) -> tuple[flo
 
     Every true loading column is compared with the column space of the
     estimated concatenated loadings of its block; every true score column is
-    compared with the column space of all estimated scores. Empty estimates
-    count as 90 degrees.
+    compared with the span of all estimated scores, orthonormal as ``identify``
+    returns them. Empty estimates count as 90 degrees.
     """
     est_loading_spans = {
-        k: orthonormalize(loadings.aligned(k, result.stacked_scores(k)[1]), 1e-10)
+        k: orthonormalize(loadings.aligned(k, result.stacked_scores(k)[1]), LOADING_RANK_RTOL)
         for k in range(1, truth.model.K + 1)}
-    est_score_span = orthonormalize(result.stacked_scores()[0], 1e-10)
+    est_score_span = OrthonormalBasis(result.stacked_scores()[0])
 
     def angle(v, span):
         return principal_angle(UnitDirection(v), span) if span.r else np.pi / 2

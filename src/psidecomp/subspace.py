@@ -75,6 +75,8 @@ TIE_REFINE_ATOL = 1e-9
 # entries would otherwise leave the normal float range. Power-of-two scaling
 # is exact, so a matrix inside the band is used as given.
 SCALE_EXP_BAND = 100
+# A direction whose norm is within this of 1 is kept as given, not divided by it.
+UNIT_NORM_TOL = 1e-12
 
 
 class NothingToPeel(ValueError):
@@ -253,7 +255,7 @@ class UnitDirection:
         nrm = float(np.linalg.norm(v))
         if nrm == 0.0 or not np.isfinite(nrm):
             raise ValueError("cannot normalize a zero or non-finite vector")
-        if abs(nrm - 1.0) > 1e-12:
+        if abs(nrm - 1.0) > UNIT_NORM_TOL:
             v = v / nrm
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)

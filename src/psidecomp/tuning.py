@@ -253,7 +253,15 @@ def select_lambda(data: MultiBlockDataset, ranks: Sequence[int],
     train_signals = [extract_signal(scaled_cols(X, tr), r, check_centering=False)
                      for X, r in zip(data.blocks, ranks)]
     coords, T = _stacked_coordinates(train_signals)
-    pieces = (T, *_heldout_pieces((scaled_cols(X, te) for X in data.blocks), train_signals)[1:])
+    # When no one power of two brings every block into range, a test block's
+    # squares overflow or underflow here: refuse, rather than risk 0/0 or inf.
+    with np.errstate(all="ignore"):
+        pieces = (T, *_heldout_pieces((scaled_cols(X, te) for X in data.blocks),
+                                      train_signals)[1:])
+    if not all(np.isfinite(a).all() for a in pieces[1:]) or pieces[4].min() < np.finfo(float).tiny:
+        raise ValueError("the blocks' scales are too far apart for one split: a held-out "
+                         "piece leaves the float range; rescale the blocks to similar "
+                         "norms and tune again")
 
     # identify is piecewise constant in the threshold, so the held-out risk is
     # computed once per interval of the path.

@@ -2,7 +2,7 @@
 # collections with known intersection geometry, used by the core tests and
 # the acceptance suite, random blocks with shared directions for the
 # property tests, structures by rank table, the split halves of a dataset,
-# and the assertion that the input-check tables use.
+# blocks scaled far apart, and the assertion that the input-check tables use.
 
 import numpy as np
 import pytest
@@ -100,6 +100,13 @@ def split_halves(data, seed):
     plan = split(data.n, seed)
     return ([X[:, list(plan.train)] for X in data.blocks],
             [X[:, list(plan.test)] for X in data.blocks])
+
+
+def scale_apart(data, e):
+    """The row-centred blocks of ``data`` with block 1 times 2^-e and block 2
+    times 2^e, the others as they are."""
+    return [np.ldexp(X - X.mean(axis=1, keepdims=True), s)
+            for X, s in zip(data.blocks, (-e, e) + (0,) * (data.K - 2))]
 
 
 def assert_rejects(call, error, message):

@@ -33,6 +33,8 @@ from psidecomp.cli import _check_args, _load_dataset, build_parser, main
 from psidecomp.structure import structure_to_dict
 from psidecomp.tuning import _curve_rows
 
+from cases import scale_apart
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -606,6 +608,23 @@ class TestScaleSafety:
         assert scores[0][0] == scores[1][0]  # the index-set labels
         np.testing.assert_allclose(*(np.loadtxt(d / "scores.csv", delimiter=",", skiprows=1)
                                      for d in (a, b)), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("e, code", [(500, 0), (600, 2)])
+    def test_blocks_no_power_of_two_can_hold(self, tmp_path, capsys, e, code):
+        # Block 1 at 2^-e and block 2 at 2^e. At e = 600 the test blocks'
+        # squares leave the float range whatever one power of two scales
+        # them, and --tune exits 2 with advice, not 3 after warnings; at
+        # e = 500 it runs. A fixed threshold needs no split and runs at both.
+        data = simgen.generate(model_preset(6, snr=15.0, n=40, block_size=20), seed=3).dataset()
+        paths = [str(tmp_path / f"b{k}.csv") for k in (1, 2, 3)]
+        for path, X in zip(paths, scale_apart(data, e)):
+            np.savetxt(path, X, delimiter=",", fmt="%.17g")
+        args = ["--blocks", *paths, "--ranks", "8,8,8", "--out", str(tmp_path / "out")]
+        assert run_cli("decompose", "--tune", *args) == code
+        err = capsys.readouterr().err
+        assert ("scales are too far apart for one split" in err) == bool(code)
+        assert "Warning" not in err
+        assert run_cli("decompose", "--lambda-deg", "20", *args) == 0
 
 
 class TestLoadDataset:

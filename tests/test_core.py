@@ -702,8 +702,7 @@ class TestUniquenessSharesThePairKernel:
         cols = [b.columns for b in bases]
 
         def run():
-            inter = {s: core._intersection(cols, s.members, core.INTERSECTION_COS_TOL)
-                     for s in ordering}
+            inter = {s: core._intersection(cols, s.members) for s in ordering}
             return check_relative_independence(bases, ordering), inter
 
         rep, inter = run()
@@ -754,6 +753,32 @@ class TestUniquenessSharesThePairKernel:
         assert inside and all(rows < n for rows in inside)
         assert len(inside) == len(pair_calls) // 2
         assert outside and all(rows == n for rows in outside)
+
+    @pytest.mark.parametrize("case", range(len(uniqueness_inputs())))
+    def test_only_span_sums_orthonormalize(self, monkeypatch, case):
+        # The intersections are _pair_svd's principal vectors, orthonormal as
+        # they come, so orthonormalize runs only to sum spans.
+        from psidecomp import core
+        bases, K = uniqueness_inputs()[case]
+        depth, where = [0], []
+        real_orth, real_sum = core.orthonormalize, core._span_sum
+
+        def counted_orth(*args):
+            where.append(depth[0] > 0)
+            return real_orth(*args)
+
+        def counted_sum(*args):
+            depth[0] += 1
+            try:
+                return real_sum(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(core, "orthonormalize", counted_orth)
+        monkeypatch.setattr(core, "_span_sum", counted_sum)
+        check_relative_independence(bases, default_ordering(K))
+        assert all(where)
+        assert bool(where) == (K > 1)  # a single block has no layer to sum
 
 
 @pytest.mark.parametrize("call, error, message", (

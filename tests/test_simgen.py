@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from psidecomp import (
+    DecompositionResult,
+    GroundTruth,
     IndexSet,
+    LoadingSet,
+    OrthonormalBasis,
     SimulationModel,
+    UnitDirection,
     estimate_loadings,
     extract_signal,
     generate,
@@ -15,6 +20,8 @@ from psidecomp import (
     metric_angles,
     metric_rse,
     model_preset,
+    orthonormalize,
+    principal_angle,
     run_once,
     structures_equal,
 )
@@ -226,6 +233,37 @@ class TestMetrics:
         theta_u_empty, _ = metric_angles(truth, empty, res)
         assert theta_u_empty == pytest.approx(90.0)
 
+    @pytest.mark.parametrize("delta, theta_u", [(0.5, 90.0), (2.0, 0.0)])
+    def test_loading_rank_cut(self, delta, theta_u):
+        # One block whose estimated loadings have singular values 1 and
+        # delta * LOADING_RANK_RTOL (1e-10, written out): past the cut the
+        # span has rank 2 and holds the true column e2, within it rank 1.
+        s = IndexSet.of(1)
+        model = SimulationModel("one", 6, (5,), {s: (1.0, 1.0)}, math.inf)
+        eye = np.eye(6)
+        truth = GroundTruth(model, 0, {s: eye[:, :2]}, {(1, s): eye[:5, 1:2]}, [], [])
+        result = DecompositionResult({s: OrthonormalBasis(eye[:, :2])}, 0.1, model.ordering)
+        est = np.zeros((5, 2))
+        est[0, 0], est[1, 1] = 1.0, delta * 1e-10
+        angles = metric_angles(truth, LoadingSet({(1, s): est}, (5,)), result)
+        assert angles == pytest.approx((theta_u, 0.0), abs=1e-9)
+
+    @pytest.mark.parametrize("model_id", range(1, 7))
+    def test_score_angles_match_an_orthonormalized_span(self, model_id):
+        # metric_angles takes the estimated scores as identify returns them;
+        # theta_W is that of their orthonormalized span
+        model = model_preset(model_id, snr=15.0, n=60, block_size=40)
+        for seed in (1000, 1001, 1002):
+            truth = generate(model, seed)
+            sigs = [extract_signal(X, r, check_centering=False)
+                    for X, r in zip(truth.blocks, model.block_ranks())]
+            res = identify(sigs, model.ordering, np.deg2rad(20))
+            span = orthonormalize(res.stacked_scores()[0], 1e-10)
+            want = np.degrees(np.mean([principal_angle(UnitDirection(w), span)
+                                       for W in truth.scores.values() for w in W.T]))
+            theta_w = metric_angles(truth, estimate_loadings(sigs, res), res)[1]
+            assert abs(theta_w - want) <= 1e-12
+
     def test_rse_rejects_zero_true_signal(self):
         model = model_preset(1, snr=math.inf, n=30, block_size=20)
         truth = generate(model, seed=8)
@@ -263,6 +301,20 @@ class TestMetrics:
 
 
 class TestRunners:
+    def test_orthonormalize_calls_of_a_fit(self, monkeypatch):
+        # once in generate (n rows) and once per block's loading span (p
+        # rows); the estimated scores (n rows) are taken as they come
+        from psidecomp import simgen
+        rows, real = [], simgen.orthonormalize
+
+        def counted(raw, *args):
+            rows.append(raw.shape[0])
+            return real(raw, *args)
+
+        monkeypatch.setattr(simgen, "orthonormalize", counted)
+        run_once(model_preset(6, snr=15.0, n=40, block_size=30), 3, np.deg2rad(20))
+        assert rows == [40, 30, 30, 30]
+
     def test_noiseless_pipeline_exact(self):
         model = model_preset(3, snr=math.inf, n=60, block_size=50)
         out = run_once(model, seed=0, angle_threshold=np.deg2rad(20))

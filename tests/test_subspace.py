@@ -93,6 +93,16 @@ class TestBasisAndDirectionTypes:
         w = unit([3.0, 4.0])
         assert abs(np.linalg.norm(w.vector) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("delta, divided", [(0.5, False), (2.0, True)])
+    def test_unit_norm_check_at_its_tolerance(self, delta, divided):
+        # a norm of 1 + delta * UNIT_NORM_TOL (1e-12, written out): within
+        # the cut the vector keeps its bytes, past it it is divided by its norm
+        v = np.array([1.0 + delta * 1e-12, 0.0, 0.0])
+        w = UnitDirection(v)
+        assert (w.vector.tobytes() == v.tobytes()) != divided
+        if divided:
+            assert w.vector.tolist() == [1.0, 0.0, 0.0]
+
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             unit([0.0, 0.0])

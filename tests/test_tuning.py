@@ -31,7 +31,7 @@ from psidecomp import structure
 from psidecomp import test_scores as procrustes_scores
 from psidecomp.tuning import _heldout_pieces, _heldout_risk
 
-from cases import assert_rejects, make_structure, split_halves
+from cases import assert_rejects, make_structure, scale_apart, split_halves
 
 
 class TestSplit:
@@ -261,6 +261,22 @@ class TestSelectLambda:
         res = select_lambda(MultiBlockDataset(tuple(blocks)), model.block_ranks(),
                             model.ordering, default_grid(), seed=3)
         assert all(np.isfinite(risk) for _, risk in res.risk_curve)
+
+    @pytest.mark.parametrize("e, refused", [(500, False), (600, True)])
+    def test_blocks_no_power_of_two_can_hold(self, e, refused):
+        # block 1 at 2^-e and block 2 at 2^e: at e = 600 no one power of two
+        # keeps both test blocks' squares in the float range, so the split is
+        # refused; at e = 500 it runs, and pytest turns a RuntimeWarning into
+        # an error
+        model = model_preset(6, snr=15.0, n=40, block_size=20)
+        data = MultiBlockDataset(tuple(scale_apart(generate(model, seed=3).dataset(), e)))
+        args = (data, model.block_ranks(), model.ordering, default_grid())
+        if refused:
+            with pytest.raises(ValueError, match="scales are too far apart for one split"):
+                select_lambda(*args, seed=3)
+        else:
+            res = select_lambda(*args, seed=3)
+            assert all(np.isfinite(risk) for _, risk in res.risk_curve)
 
     @settings(max_examples=25, deadline=None)
     @given(model_id=st.integers(1, 6), data=st.data())
